@@ -42,7 +42,7 @@ for _ in range(60):
         " ".join(rng.choice(SPAM_WORDS) for _ in range(12)), Label.SPAM))
 
 out = Path(tempfile.mkdtemp(prefix="spamlab-demo-"))
-ham_paths, spam_paths = emit_training_sets(stream, False, out)
+ham_paths, spam_paths = emit_training_sets(stream, out)
 model = train_bayes(ham_paths[0], spam_paths[0], n=15, threshold=0.9)
 print(f"trained on {model.n_ham_msgs} ham / {model.n_spam_msgs} spam messages")
 

@@ -12,9 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Label, parse_message, split_mbox, tokenize
+from .corpus import Label, Verdict, parse_message, split_mbox, tokenize
 from .errors import EmptyTrainingSet
-from .filters import Verdict
 
 DEFAULT_N_INTERESTING = 15
 DEFAULT_THRESHOLD = 0.9
@@ -115,15 +114,37 @@ def train_bayes(
     n: int = DEFAULT_N_INTERESTING,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> BayesModel:
-    """Train a model from one ham and one spam mbox.
+    """Train a model from one ham and one spam mbox (see train_messages)."""
+    return train_messages(_read_mbox(ham), _read_mbox(spam), n, threshold)
+
+
+def _read_mbox(path: str | Path):
+    """Parse the messages of an mbox file, one at a time.
+
+    A generator: the file is read at the first next(), so train_bayes
+    never holds the ham and the spam mbox in memory together.
+    """
+    text = Path(path).read_bytes().decode("utf-8", errors="replace")
+    for entry in split_mbox(text):
+        yield parse_message(entry)
+
+
+def train_messages(
+    ham,
+    spam,
+    n: int = DEFAULT_N_INTERESTING,
+    threshold: float = DEFAULT_THRESHOLD,
+) -> BayesModel:
+    """Train a model from ham and spam messages (anything with a subject
+    and a body).
 
     Token occurrences are counted with multiplicity over subject+body of
     each message; N_S and N_H are message counts and the spam prior is
-    N_S/(N_S+N_H). Raises EmptyTrainingSet when either mbox has no
-    messages.
+    N_S/(N_S+N_H). All ham is counted before spam is iterated. Raises
+    EmptyTrainingSet when either side has no messages.
     """
-    ham_count, n_ham = _count_mbox(ham)
-    spam_count, n_spam = _count_mbox(spam)
+    ham_count, n_ham = _count_tokens(ham)
+    spam_count, n_spam = _count_tokens(spam)
     if n_ham == 0 or n_spam == 0:
         raise EmptyTrainingSet(f"ham={n_ham} spam={n_spam}")
     return BayesModel(
@@ -137,14 +158,12 @@ def train_bayes(
     )
 
 
-def _count_mbox(path: str | Path) -> tuple[Counter, int]:
-    text = Path(path).read_bytes().decode("utf-8", errors="replace")
+def _count_tokens(messages) -> tuple[Counter, int]:
     counts: Counter = Counter()
     n = 0
-    for entry in split_mbox(text):
-        parsed = parse_message(entry)
-        counts.update(tokenize(parsed.subject))
-        counts.update(tokenize(parsed.body))
+    for m in messages:
+        counts.update(tokenize(m.subject))
+        counts.update(tokenize(m.body))
         n += 1
     return counts, n
 

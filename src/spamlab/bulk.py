@@ -8,14 +8,12 @@ that defeats per-recipient personalization.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Label, Message
-from .filters import Verdict
+from .corpus import Label, Message, Verdict
 
 DEFAULT_WINDOW_SIZE = 1500
 DEFAULT_VOLUME_THRESHOLD = 100
@@ -88,6 +86,8 @@ def body_checksum(body: str, fuzzy: bool) -> str:
     trailing paragraph after the final blank line dropped, so personalized
     variants of one payload collide.
     """
+    import hashlib  # loads OpenSSL (~3.6 MB RSS) only in runs that checksum
+
     text = _normalize_fuzzy(body) if fuzzy else body
     return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 

@@ -23,6 +23,14 @@ class Label(Enum):
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """A filter's classification, with an optional confidence score."""
+
+    label: Label
+    score: float | None = None
+
+
+@dataclass(frozen=True)
 class Corpus:
     """An ordered, immutable collection of message bodies for one topic."""
 

@@ -22,7 +22,6 @@ from .corpus import Label, load_corpus
 from .errors import (
     ConfigInvalid,
     CorpusMissing,
-    EmptyTrainingSet,
     NoHamEvaluated,
     NoSpamEvaluated,
     SpamlabError,
@@ -30,7 +29,6 @@ from .errors import (
 )
 from .filters import (
     BUILTIN_FILTERS,
-    BUILTIN_NEEDS_CONNLOG,
     BUILTIN_NEEDS_TRAINING,
     BayesFilterState,
     FilterBinding,
@@ -177,6 +175,8 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
     command = values.get(f"external.{name}")
     trainer = values.get(f"trainer.{name}")
     wants_log = _parse_bool(values.get(f"connlog.{name}", "false"))
+    if wants_log and level is not Level.SERVER:
+        raise ConfigInvalid(f"filter {name}: connlog.{name} needs level S")
     if command is not None:
         return FilterBinding(
             name=name,
@@ -190,12 +190,14 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
         raise ConfigInvalid(
             f"filter {name}: not a builtin and no external.{name} command"
         )
+    if builtin_id == "volume" and level is not Level.SERVER:
+        raise ConfigInvalid(f"filter {name}: volume needs level S")
     return FilterBinding(
         name=name,
         level=level,
         builtin=builtin_id,
         needs_training=builtin_id in BUILTIN_NEEDS_TRAINING,
-        needs_connection_log=builtin_id in BUILTIN_NEEDS_CONNLOG or wants_log,
+        needs_connection_log=wants_log,
     )
 
 
@@ -225,6 +227,11 @@ def load_scenario(path) -> Scenario:
         if sep and owner in known and owner not in ("external", "trainer", "connlog"):
             filter_options.setdefault(owner, {})[option] = value
 
+    try:
+        training_steps = int(values.get("training_steps", DEFAULT_TRAINING_STEPS))
+        eval_steps = int(values.get("eval_steps", DEFAULT_EVAL_STEPS))
+    except ValueError as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
     scenario = Scenario(
         name=values.get("name", path.stem),
         personalized=_parse_bool(values.get("personalized", "false")),
@@ -233,8 +240,8 @@ def load_scenario(path) -> Scenario:
         level=level,
         sim=sim,
         filters=bindings,
-        training_steps=int(values.get("training_steps", DEFAULT_TRAINING_STEPS)),
-        eval_steps=int(values.get("eval_steps", DEFAULT_EVAL_STEPS)),
+        training_steps=training_steps,
+        eval_steps=eval_steps,
         bogus_headers=_parse_bool(values.get("bogus_headers", "false")),
         random_words=_parse_bool(values.get("random_words", "false")),
         filter_options=filter_options,
@@ -277,41 +284,19 @@ def _build_world(scenario: Scenario, rng) -> World:
     )
 
 
-def _train_filters(scenario, filters, stream, out_dir):
-    """Phase 1: emit training mboxes and train every trainable filter.
-
-    Server-level trainables get the general ham/spam pair; user-level
-    builtin Bayes filters get one model per recipient, falling back to the
-    general model for users whose training mail is one-sided.
-    """
+def _train_filters(filters, stream, out_dir):
+    """Phase 1: train every trainable filter on the general ham/spam mbox
+    pair; user-level builtin Bayes also trains its per-mailbox models on
+    the stream itself."""
     trainables = [f for f in filters if f.binding.needs_training]
     if not trainables:
         return
-    general_dir = Path(out_dir) / "training"
-    ham_paths, spam_paths = emit_training_sets(stream, False, general_dir)
-    per_user_needed = any(
-        f.binding.level is Level.USER and isinstance(f, BayesFilterState)
-        for f in trainables
-    )
-    user_pairs: list[tuple[Path, Path]] = []
-    if per_user_needed:
-        user_dir = Path(out_dir) / "training" / "per-user"
-        user_ham, user_spam = emit_training_sets(stream, True, user_dir)
-        user_pairs = list(zip(user_ham, user_spam))
-    addresses = sorted({a for m in stream for a in m.recipients})
-
+    training_dir = Path(out_dir) / "training"
+    ham_paths, spam_paths = emit_training_sets(stream, training_dir)
     for f in trainables:
         train(f, ham_paths[0], spam_paths[0])
         if f.binding.level is Level.USER and isinstance(f, BayesFilterState):
-            from . import bayes
-
-            for addr, (ham_path, spam_path) in zip(addresses, user_pairs):
-                try:
-                    model = bayes.train_bayes(ham_path, spam_path, f.n, f.threshold)
-                except EmptyTrainingSet:
-                    continue  # general model covers this mailbox
-                if min(model.n_spam_msgs, model.n_ham_msgs) >= f.min_user_messages:
-                    f.user_models[addr] = model
+            f.train_user_models(stream)
 
 
 def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
@@ -324,37 +309,36 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     and excluded from the counts.
     """
     scenario.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(scenario.sim.seed)
-    world = _build_world(scenario, rng)
     filters = [
         build_filter(b, scenario.filter_options.get(b.name))
         for b in scenario.filters
     ]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(scenario.sim.seed)
+    world = _build_world(scenario, rng)
 
     training_stream = [
         m
         for _ in range(scenario.training_steps)
         for (m, _e) in step(world, rng)
     ]
-    _train_filters(scenario, filters, training_stream, out)
+    _train_filters(filters, training_stream, out)
 
     log_path = out / "connections.log"
+    log_read = any(f.binding.needs_connection_log for f in filters)
     counts = {f.binding.name: ConfusionCounts() for f in filters}
     errors = {f.binding.name: 0 for f in filters}
     with open(log_path, "w", encoding="utf-8", newline="\n") as log:
         for _ in range(scenario.eval_steps):
             for m, entry in step(world, rng):
                 log.write(entry.as_line() + "\n")
-                log.flush()
+                if log_read:
+                    log.flush()
                 for f in filters:
                     name = f.binding.name
-                    context = (
-                        str(log_path) if f.binding.needs_connection_log else None
-                    )
                     try:
-                        verdict = classify(f, m, context)
+                        verdict = classify(f, m, str(log_path))
                     except WrapperCrashed:
                         errors[name] += 1
                         continue

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Label, Message, render_message, write_mbox
-from .errors import IoFailure, TrainerFailed, WrapperCrashed
+from . import bayes, bulk
+from .corpus import Label, Message, Verdict, render_message, write_mbox
+from .errors import ConfigInvalid, IoFailure, TrainerFailed, WrapperCrashed
 
 CONNLOG_ENV_VAR = "SPAMLAB_CONNLOG"
 
@@ -28,14 +29,6 @@ class Level(Enum):
 
     USER = "U"
     SERVER = "S"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """A filter's classification, with an optional confidence score."""
-
-    label: Label
-    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,16 +74,26 @@ class BayesFilterState:
         self.threshold = threshold
         self.min_user_messages = min_user_messages
         self.model = None
-        self.user_models: dict[str, object] = {}
+        self.user_models: dict[str, bayes.BayesModel] = {}
 
     def train(self, ham, spam) -> None:
-        from . import bayes
-
         self.model = bayes.train_bayes(ham, spam, self.n, self.threshold)
 
-    def classify(self, m: Message, context=None) -> Verdict:
-        from . import bayes
+    def train_user_models(self, stream) -> None:
+        """Give each mailbox with min_user_messages of each class in the
+        training stream a model trained on the mail delivered to it."""
+        delivered: dict[str, tuple[list, list]] = {}
+        for m in stream:
+            for addr in m.recipients:
+                ham, spam = delivered.setdefault(addr, ([], []))
+                (spam if m.truth is Label.SPAM else ham).append(m)
+        for addr, (ham, spam) in delivered.items():
+            if min(len(ham), len(spam)) >= max(self.min_user_messages, 1):
+                self.user_models[addr] = bayes.train_messages(
+                    ham, spam, self.n, self.threshold
+                )
 
+    def classify(self, m: Message, context=None) -> Verdict:
         model = self.model
         if self.user_models:
             # user-level deployment: the first recipient's mailbox filter
@@ -104,18 +107,14 @@ class VolumeFilterState:
     """Builtin volume filter over its own view of the connection stream."""
 
     def __init__(self, binding, window_size, threshold, count_recipients):
-        from .bulk import VolumeWindow
-
         self.binding = binding
-        self.window = VolumeWindow(
+        self.window = bulk.VolumeWindow(
             window_size=window_size,
             threshold=threshold,
             count_recipients=count_recipients,
         )
 
     def classify(self, m: Message, context=None) -> Verdict:
-        from . import bulk
-
         return bulk.volume_classify(self.window, m)
 
 
@@ -123,15 +122,11 @@ class ChecksumFilterState:
     """Builtin checksum clearinghouse filter with a local database."""
 
     def __init__(self, binding, fuzzy: bool, bulk_threshold: int):
-        from .bulk import ChecksumDB
-
         self.binding = binding
         self.fuzzy = fuzzy
-        self.db = ChecksumDB(bulk_threshold=bulk_threshold)
+        self.db = bulk.ChecksumDB(bulk_threshold=bulk_threshold)
 
     def classify(self, m: Message, context=None) -> Verdict:
-        from . import bulk
-
         return bulk.checksum_classify(self.db, m, self.fuzzy)
 
 
@@ -208,8 +203,6 @@ def _parse_wrapper_output(name: str, stdout: bytes) -> Verdict:
 
 
 def _build_bayes(binding, options):
-    from . import bayes
-
     return BayesFilterState(
         binding,
         n=int(options.get("n", bayes.DEFAULT_N_INTERESTING)),
@@ -219,8 +212,6 @@ def _build_bayes(binding, options):
 
 
 def _build_volume(binding, options):
-    from . import bulk
-
     return VolumeFilterState(
         binding,
         window_size=int(options.get("window", bulk.DEFAULT_WINDOW_SIZE)),
@@ -232,8 +223,6 @@ def _build_volume(binding, options):
 
 def _build_checksum(fuzzy):
     def build(binding, options):
-        from . import bulk
-
         return ChecksumFilterState(
             binding,
             fuzzy=fuzzy,
@@ -256,18 +245,23 @@ BUILTIN_FILTERS = {
 
 # builtin ids with intrinsic protocol needs
 BUILTIN_NEEDS_TRAINING = {"bayes"}
-BUILTIN_NEEDS_CONNLOG = {"volume"}
 
 
 def build_filter(binding: FilterBinding, options: dict | None = None):
-    """Instantiate the stateful filter object for a binding."""
+    """Instantiate the stateful filter object for a binding.
+
+    Raises ConfigInvalid when an option value does not parse.
+    """
     options = options or {}
     if binding.builtin is not None:
         try:
             factory = BUILTIN_FILTERS[binding.builtin]
         except KeyError:
             raise ValueError(f"unknown builtin filter {binding.builtin!r}")
-        return factory(binding, options)
+        try:
+            return factory(binding, options)
+        except ValueError as exc:
+            raise ConfigInvalid(f"filter {binding.name}: {exc}") from exc
     return ExternalFilterState(binding)
 
 
@@ -294,43 +288,18 @@ def train(filt, ham, spam) -> None:
     filt.train(ham, spam)
 
 
-def _safe_filename(address: str) -> str:
-    return "".join(
-        c if c.isalnum() or c in ".-+" else "_" for c in address
-    )
+def emit_training_sets(stream, out_dir):
+    """Write labelled traffic to out_dir/ham.mbox and out_dir/spam.mbox.
 
-
-def emit_training_sets(stream, per_user: bool, out_dir):
-    """Write labelled traffic to training mboxes.
-
-    per_user=False writes ham.mbox and spam.mbox with every message.
-    per_user=True writes one <recipient>.ham.mbox / <recipient>.spam.mbox
-    pair per recipient address, each containing the messages delivered to
-    that recipient. Returns (ham paths, spam paths).
+    Returns ([ham path], [spam path]).
     """
     out = Path(out_dir)
+    ham_path = out / "ham.mbox"
+    spam_path = out / "spam.mbox"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if not per_user:
-            ham_path = out / "ham.mbox"
-            spam_path = out / "spam.mbox"
-            write_mbox(ham_path, [m for m in stream if m.truth is Label.HAM])
-            write_mbox(spam_path, [m for m in stream if m.truth is Label.SPAM])
-            return [ham_path], [spam_path]
-        by_recipient: dict[str, list[Message]] = {}
-        for m in stream:
-            for addr in m.recipients:
-                by_recipient.setdefault(addr, []).append(m)
-        ham_paths, spam_paths = [], []
-        for addr in sorted(by_recipient):
-            base = _safe_filename(addr)
-            ham_path = out / f"{base}.ham.mbox"
-            spam_path = out / f"{base}.spam.mbox"
-            delivered = by_recipient[addr]
-            write_mbox(ham_path, [m for m in delivered if m.truth is Label.HAM])
-            write_mbox(spam_path, [m for m in delivered if m.truth is Label.SPAM])
-            ham_paths.append(ham_path)
-            spam_paths.append(spam_path)
-        return ham_paths, spam_paths
+        write_mbox(ham_path, [m for m in stream if m.truth is Label.HAM])
+        write_mbox(spam_path, [m for m in stream if m.truth is Label.SPAM])
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    return [ham_path], [spam_path]

@@ -135,9 +135,7 @@ def test_c4_bayes_separability(tmp_path):
         make_message(body=b, subject="", truth=Label.SPAM)
         for b in synth_bodies(spam_vocab, 50, 12, seed=12)
     ]
-    ham_paths, spam_paths = emit_training_sets(
-        ham_train + spam_train, False, tmp_path
-    )
+    ham_paths, spam_paths = emit_training_sets(ham_train + spam_train, tmp_path)
     model = train_bayes(ham_paths[0], spam_paths[0], n=15, threshold=0.9)
 
     fresh = [

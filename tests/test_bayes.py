@@ -180,7 +180,7 @@ class TestClassify:
 class TestTrain:
     def write_mboxes(self, tmp_path, ham_msgs, spam_msgs):
         stream = ham_msgs + spam_msgs
-        ham_paths, spam_paths = emit_training_sets(stream, False, tmp_path)
+        ham_paths, spam_paths = emit_training_sets(stream, tmp_path)
         return ham_paths[0], spam_paths[0]
 
     def test_counts_with_multiplicity(self, tmp_path):

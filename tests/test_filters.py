@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from conftest import make_message
-from spamlab.corpus import Label, parse_message, split_mbox
+from spamlab.bayes import train_bayes
+from spamlab.corpus import Label, parse_message, split_mbox, write_mbox
 from spamlab.errors import TrainerFailed, WrapperCrashed
 from spamlab.filters import (
     FilterBinding,
@@ -129,14 +130,23 @@ class TestEmitTrainingSets:
         return split_mbox(path.read_text(encoding="utf-8"))
 
     def test_general_partition_by_truth(self, tmp_path):
-        ham_paths, spam_paths = emit_training_sets(self.stream(), False, tmp_path)
+        ham_paths, spam_paths = emit_training_sets(self.stream(), tmp_path)
         assert len(self.entries(ham_paths[0])) == 3
         assert len(self.entries(spam_paths[0])) == 2
 
     def test_empty_stream_writes_empty_files(self, tmp_path):
-        ham_paths, spam_paths = emit_training_sets([], False, tmp_path)
+        ham_paths, spam_paths = emit_training_sets([], tmp_path)
         assert ham_paths[0].read_text() == ""
         assert spam_paths[0].read_text() == ""
+
+    def user_models(self, stream):
+        f = build_filter(
+            FilterBinding(name="bayes", level=Level.USER, builtin="bayes",
+                          needs_training=True),
+            {"min_user_messages": "0"},
+        )
+        f.train_user_models(stream)
+        return f.user_models
 
     def test_per_user_partition_by_recipient(self, tmp_path):
         stream = [
@@ -146,26 +156,35 @@ class TestEmitTrainingSets:
             make_message(body="s", truth=Label.SPAM, to=("u@example.org",)),
             make_message(body="other", truth=Label.HAM, to=("v@example.org",)),
         ]
-        ham_paths, spam_paths = emit_training_sets(stream, True, tmp_path)
-        assert len(ham_paths) == len(spam_paths) == 2
-        u_ham = next(p for p in ham_paths if p.name.startswith("u_"))
-        u_spam = next(p for p in spam_paths if p.name.startswith("u_"))
-        assert len(self.entries(u_ham)) == 4
-        assert len(self.entries(u_spam)) == 1
+        # the general pair holds every message once; per-user sets are in memory
+        ham_paths, spam_paths = emit_training_sets(stream, tmp_path)
+        assert len(ham_paths) == len(spam_paths) == 1
+        assert len(self.entries(ham_paths[0])) == 5
+        assert len(self.entries(spam_paths[0])) == 1
+        models = self.user_models(stream)
+        assert list(models) == ["u@example.org"]  # v has only ham
+        assert models["u@example.org"].n_ham_msgs == 4
+        assert models["u@example.org"].n_spam_msgs == 1
 
     def test_bcc_recipients_receive_copies(self, tmp_path):
         m = make_message(
             body="broadcast", truth=Label.SPAM, to=(),
             bcc=("a@example.org", "b@example.org"),
         )
-        ham_paths, spam_paths = emit_training_sets([m], True, tmp_path)
-        assert len(spam_paths) == 2
-        for p in spam_paths:
-            assert len(self.entries(p)) == 1
+        stream = [m] + [
+            make_message(body=f"hi {addr}", truth=Label.HAM, to=(addr,))
+            for addr in ("a@example.org", "b@example.org")
+        ]
+        _, spam_paths = emit_training_sets(stream, tmp_path)
+        assert len(self.entries(spam_paths[0])) == 1
+        models = self.user_models(stream)
+        assert sorted(models) == ["a@example.org", "b@example.org"]
+        for model in models.values():
+            assert model.n_spam_msgs == 1
 
     def test_round_trip_preserves_subject_and_body(self, tmp_path):
         m = make_message(body="From here\nto there", subject="tricky")
-        ham_paths, _ = emit_training_sets([m], False, tmp_path)
+        ham_paths, _ = emit_training_sets([m], tmp_path)
         parsed = parse_message(self.entries(ham_paths[0])[0])
         assert parsed.body == m.body
         assert parsed.subject == m.subject
@@ -182,15 +201,40 @@ class TestTrain:
             make_message(body="hello colleagues", truth=Label.HAM),
             make_message(body="cheap pills", truth=Label.SPAM),
         ]
-        ham_paths, spam_paths = emit_training_sets(stream, False, tmp_path)
+        ham_paths, spam_paths = emit_training_sets(stream, tmp_path)
         f = build_filter(self.bayes_binding())
         train(f, ham_paths[0], spam_paths[0])
         assert f.model.n_spam_msgs == 1
         assert f.model.n_ham_msgs == 1
 
+    def test_user_models_match_training_on_written_mboxes(self, tmp_path):
+        a, b, c = "a@example.org", "b@example.org", "c@example.org"
+        stream = [
+            make_message(body="From the desk\nof the chair", to=(a, c)),
+            make_message(body="minutes attached\n", subject="Re: minutes",
+                         to=(a, b)),
+            make_message(body="agenda items", to=(b,), cc=(c,)),
+            make_message(body="cheap pills\n\nFrom our pharmacy\n",
+                         subject="offer", truth=Label.SPAM, to=(), bcc=(a, b)),
+            make_message(body="pills again", truth=Label.SPAM, to=(a,)),
+        ]
+        f = build_filter(self.bayes_binding(), {"min_user_messages": "0"})
+        f.train_user_models(stream)
+        assert sorted(f.user_models) == [a, b]  # c has only ham
+        assert f.user_models[b].n_spam_msgs == 1  # b got only the Bcc copy
+        for addr, model in f.user_models.items():
+            mine = [m for m in stream if addr in m.recipients]
+            ham, spam = tmp_path / f"{addr}.ham", tmp_path / f"{addr}.spam"
+            write_mbox(ham, [m for m in mine if m.truth is Label.HAM])
+            write_mbox(spam, [m for m in mine if m.truth is Label.SPAM])
+            expected = train_bayes(ham, spam, f.n, f.threshold)
+            for attr in ("spam_count", "ham_count", "n_spam_msgs",
+                         "n_ham_msgs", "prior_spam"):
+                assert getattr(model, attr) == getattr(expected, attr)
+
     def test_missing_spam_file_fails(self, tmp_path):
         stream = [make_message(body="hi", truth=Label.HAM)]
-        ham_paths, _ = emit_training_sets(stream, False, tmp_path)
+        ham_paths, _ = emit_training_sets(stream, tmp_path)
         f = build_filter(self.bayes_binding())
         with pytest.raises(TrainerFailed):
             train(f, ham_paths[0], tmp_path / "missing.mbox")

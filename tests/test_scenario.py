@@ -24,7 +24,7 @@ class TestScenarioLoading:
         bayes = scenario.filters[0]
         assert bayes.needs_training and bayes.level is Level.USER
         volume = scenario.filters[1]
-        assert volume.needs_connection_log and volume.level is Level.SERVER
+        assert volume.level is Level.SERVER and not volume.needs_connection_log
 
     def test_missing_keys_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -200,3 +200,35 @@ class TestCli:
         bad.write_text("name = broken\n")
         assert main(["run", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, extra",
+        [
+            ({"filters": "volume U"}, ""),
+            ({"filters": "ext U"}, "external.ext = cat\nconnlog.ext = true\n"),
+            ({"training_steps": "abc"}, ""),
+            ({"eval_steps": "abc"}, ""),
+            ({}, "bayes.n = abc\n"),
+            ({}, "bayes.threshold = abc\n"),
+            ({}, "volume.window = abc\n"),
+            ({}, "checksum-fuzzy.threshold = x\n"),
+        ],
+        ids=[
+            "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
+            "bayes.n", "bayes.threshold", "volume.window", "checksum.threshold",
+        ],
+    )
+    def test_run_verb_reports_bad_values(
+        self, tmp_path, scenario_builder, capsys, overrides, extra
+    ):
+        path = scenario_builder(
+            tmp_path,
+            scenario_overrides={"training_steps": 5, "eval_steps": 5, **overrides},
+        )
+        with open(path, "a") as fh:
+            fh.write(extra)
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
