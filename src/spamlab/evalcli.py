@@ -16,12 +16,14 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from . import trafficgen
 from .corpus import Label, load_corpus
 from .errors import (
     ConfigInvalid,
     CorpusMissing,
+    EmptyTrainingSet,
     NoHamEvaluated,
     NoSpamEvaluated,
     SpamlabError,
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .filters import (
     BUILTIN_FILTERS,
-    BUILTIN_NEEDS_TRAINING,
     BayesFilterState,
     FilterBinding,
     Level,
@@ -38,7 +39,7 @@ from .filters import (
     emit_training_sets,
     train,
 )
-from .trafficgen import SimConfig, World, parse_kv, step
+from .trafficgen import SimConfig, World, parse_kv, parse_value, step
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_TRAINING_STEPS = 2000
@@ -127,7 +128,6 @@ class Scenario:
     """One evaluation configuration: corpora, traffic, filters, phases."""
 
     name: str
-    personalized: bool
     spam_corpus: str
     ham_corpus: str
     level: Level
@@ -135,6 +135,7 @@ class Scenario:
     filters: list[FilterBinding]
     training_steps: int = DEFAULT_TRAINING_STEPS
     eval_steps: int = DEFAULT_EVAL_STEPS
+    personalized: bool = False
     bogus_headers: bool = False
     random_words: bool = False
     filter_options: dict[str, dict[str, str]] = field(default_factory=dict)
@@ -151,52 +152,37 @@ class Scenario:
             raise ConfigInvalid("filter names must be unique")
 
 
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
-
-
 def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level) -> FilterBinding:
     tokens = entry.split()
-    if not tokens:
-        raise ConfigInvalid("empty filter entry")
+    if len(tokens) > 3:
+        raise ConfigInvalid(f"filter entry {entry!r} has too many tokens")
     name = tokens[0]
+    builtin_id = tokens[2] if len(tokens) == 3 else name
     level = default_level
-    builtin_id = name
     if len(tokens) >= 2:
         try:
             level = Level(tokens[1].upper())
         except ValueError:
             raise ConfigInvalid(f"filter {name}: bad level {tokens[1]!r}")
-    if len(tokens) >= 3:
-        builtin_id = tokens[2]
-    if len(tokens) > 3:
-        raise ConfigInvalid(f"filter entry {entry!r} has too many tokens")
 
-    command = values.get(f"external.{name}")
-    trainer = values.get(f"trainer.{name}")
-    wants_log = _parse_bool(values.get(f"connlog.{name}", "false"))
+    key = f"connlog.{name}"
+    wants_log = parse_value(f"filter {name}", key, values.get(key, "false"), bool)
     if wants_log and level is not Level.SERVER:
-        raise ConfigInvalid(f"filter {name}: connlog.{name} needs level S")
-    if command is not None:
-        return FilterBinding(
-            name=name,
-            level=level,
-            command=command,
-            trainer_command=trainer,
-            needs_training=trainer is not None,
-            needs_connection_log=wants_log,
-        )
-    if builtin_id not in BUILTIN_FILTERS:
-        raise ConfigInvalid(
-            f"filter {name}: not a builtin and no external.{name} command"
-        )
-    if builtin_id == "volume" and level is not Level.SERVER:
-        raise ConfigInvalid(f"filter {name}: volume needs level S")
+        raise ConfigInvalid(f"filter {name}: {key} needs level S")
+    command = values.get(f"external.{name}")
+    if command is None:
+        if builtin_id not in BUILTIN_FILTERS:
+            raise ConfigInvalid(
+                f"filter {name}: not a builtin and no external.{name} command"
+            )
+        if builtin_id == "volume" and level is not Level.SERVER:
+            raise ConfigInvalid(f"filter {name}: volume needs level S")
     return FilterBinding(
         name=name,
         level=level,
-        builtin=builtin_id,
-        needs_training=builtin_id in BUILTIN_NEEDS_TRAINING,
+        builtin=builtin_id if command is None else None,
+        command=command,
+        trainer_command=values.get(f"trainer.{name}") if command is not None else None,
         needs_connection_log=wants_log,
     )
 
@@ -208,6 +194,13 @@ def load_scenario(path) -> Scenario:
     for key in ("spam_corpus", "ham_corpus", "sim", "filters"):
         if key not in values:
             raise ConfigInvalid(f"{path}: missing key {key!r}")
+    # each Scenario field but filter_options is a top-level key; every
+    # other key is dotted and belongs to a filter
+    kinds = get_type_hints(Scenario)
+    del kinds["filter_options"]
+    for key in values:
+        if "." not in key and key not in kinds:
+            raise ConfigInvalid(f"{path}: unknown key {key!r}")
     base = path.parent
     try:
         level = Level(values.get("level", "U").upper())
@@ -227,24 +220,19 @@ def load_scenario(path) -> Scenario:
         if sep and owner in known and owner not in ("external", "trainer", "connlog"):
             filter_options.setdefault(owner, {})[option] = value
 
-    try:
-        training_steps = int(values.get("training_steps", DEFAULT_TRAINING_STEPS))
-        eval_steps = int(values.get("eval_steps", DEFAULT_EVAL_STEPS))
-    except ValueError as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from exc
     scenario = Scenario(
         name=values.get("name", path.stem),
-        personalized=_parse_bool(values.get("personalized", "false")),
         spam_corpus=str(base / values["spam_corpus"]),
         ham_corpus=str(base / values["ham_corpus"]),
         level=level,
         sim=sim,
         filters=bindings,
-        training_steps=training_steps,
-        eval_steps=eval_steps,
-        bogus_headers=_parse_bool(values.get("bogus_headers", "false")),
-        random_words=_parse_bool(values.get("random_words", "false")),
         filter_options=filter_options,
+        **{
+            key: parse_value(path, key, text, kinds[key])
+            for key, text in values.items()
+            if kinds.get(key) in (int, float, bool)
+        },
     )
     scenario.validate()
     return scenario
@@ -291,6 +279,13 @@ def _train_filters(filters, stream, out_dir):
     trainables = [f for f in filters if f.binding.needs_training]
     if not trainables:
         return
+    missing = [c.value for c in Label if all(m.truth is not c for m in stream)]
+    if missing:
+        names = ", ".join(f.binding.name for f in trainables)
+        raise EmptyTrainingSet(
+            f"filter {names}: the training stream has no"
+            f" {' and no '.join(missing)}; raise training_steps"
+        )
     training_dir = Path(out_dir) / "training"
     ham_paths, spam_paths = emit_training_sets(stream, training_dir)
     for f in trainables:
@@ -314,7 +309,6 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
         for b in scenario.filters
     ]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(scenario.sim.seed)
     world = _build_world(scenario, rng)
 
@@ -324,6 +318,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
         for (m, _e) in step(world, rng)
     ]
     _train_filters(filters, training_stream, out)
+    out.mkdir(parents=True, exist_ok=True)
 
     log_path = out / "connections.log"
     log_read = any(f.binding.needs_connection_log for f in filters)
@@ -561,7 +556,7 @@ def main(argv=None) -> int:
                 f" -> {calibrated.activation_prob:.6f}"
             )
             if args.out:
-                _write_sim_config(calibrated, args.out)
+                trafficgen.write_sim_config(calibrated, args.out)
                 print(f"calibrated sim config written to {args.out}")
         elif args.command == "report":
             rundir = Path(args.rundir)
@@ -573,8 +568,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-def _write_sim_config(config: SimConfig, path) -> None:
-    lines = [f"{name} = {getattr(config, name)}"
-             for name in trafficgen._SIM_FIELD_TYPES]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

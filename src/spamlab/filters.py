@@ -20,6 +20,7 @@ from pathlib import Path
 from . import bayes, bulk
 from .corpus import Label, Message, Verdict, render_message, write_mbox
 from .errors import ConfigInvalid, IoFailure, TrainerFailed, WrapperCrashed
+from .trafficgen import parse_value
 
 CONNLOG_ENV_VAR = "SPAMLAB_CONNLOG"
 
@@ -44,7 +45,6 @@ class FilterBinding:
     builtin: str | None = None
     command: str | None = None
     trainer_command: str | None = None
-    needs_training: bool = False
     needs_connection_log: bool = False
 
     def __post_init__(self):
@@ -52,6 +52,11 @@ class FilterBinding:
             raise ValueError("binding needs exactly one of builtin or command")
         if self.needs_connection_log and self.level is not Level.SERVER:
             raise ValueError("needs_connection_log requires SERVER level")
+
+    @property
+    def needs_training(self) -> bool:
+        """Builtin Bayes and external filters with a trainer take training."""
+        return self.builtin == "bayes" or self.trainer_command is not None
 
 
 class BayesFilterState:
@@ -62,11 +67,13 @@ class BayesFilterState:
     the general model, whose vocabulary coverage is far better.
     """
 
+    OPTIONS = {"n": int, "threshold": float, "min_user_messages": int}
+
     def __init__(
         self,
         binding: FilterBinding,
-        n: int,
-        threshold: float,
+        n: int = bayes.DEFAULT_N_INTERESTING,
+        threshold: float = bayes.DEFAULT_THRESHOLD,
         min_user_messages: int = 5,
     ):
         self.binding = binding
@@ -106,10 +113,18 @@ class BayesFilterState:
 class VolumeFilterState:
     """Builtin volume filter over its own view of the connection stream."""
 
-    def __init__(self, binding, window_size, threshold, count_recipients):
+    OPTIONS = {"window": int, "threshold": int, "count_recipients": bool}
+
+    def __init__(
+        self,
+        binding,
+        window: int = bulk.DEFAULT_WINDOW_SIZE,
+        threshold: int = bulk.DEFAULT_VOLUME_THRESHOLD,
+        count_recipients: bool = False,
+    ):
         self.binding = binding
         self.window = bulk.VolumeWindow(
-            window_size=window_size,
+            window_size=window,
             threshold=threshold,
             count_recipients=count_recipients,
         )
@@ -121,10 +136,14 @@ class VolumeFilterState:
 class ChecksumFilterState:
     """Builtin checksum clearinghouse filter with a local database."""
 
-    def __init__(self, binding, fuzzy: bool, bulk_threshold: int):
+    OPTIONS = {"threshold": int}
+
+    def __init__(
+        self, binding, fuzzy: bool, threshold: int = bulk.DEFAULT_BULK_THRESHOLD
+    ):
         self.binding = binding
         self.fuzzy = fuzzy
-        self.db = bulk.ChecksumDB(bulk_threshold=bulk_threshold)
+        self.db = bulk.ChecksumDB(bulk_threshold=threshold)
 
     def classify(self, m: Message, context=None) -> Verdict:
         return bulk.checksum_classify(self.db, m, self.fuzzy)
@@ -132,6 +151,8 @@ class ChecksumFilterState:
 
 class ConstantFilterState:
     """Reference filter that returns one fixed label."""
+
+    OPTIONS: dict[str, type] = {}
 
     def __init__(self, binding, label: Label):
         self.binding = binding
@@ -144,12 +165,12 @@ class ConstantFilterState:
 class ExternalFilterState:
     """Wrapper around an external classify command and optional trainer."""
 
+    OPTIONS: dict[str, type] = {}
+
     def __init__(self, binding: FilterBinding):
         self.binding = binding
 
     def train(self, ham, spam) -> None:
-        if not self.binding.trainer_command:
-            raise TrainerFailed(f"{self.binding.name}: no trainer command")
         argv = shlex.split(self.binding.trainer_command) + [str(ham), str(spam)]
         try:
             proc = subprocess.run(argv, capture_output=True)
@@ -202,67 +223,39 @@ def _parse_wrapper_output(name: str, stdout: bytes) -> Verdict:
     return Verdict(label, score)
 
 
-def _build_bayes(binding, options):
-    return BayesFilterState(
-        binding,
-        n=int(options.get("n", bayes.DEFAULT_N_INTERESTING)),
-        threshold=float(options.get("threshold", bayes.DEFAULT_THRESHOLD)),
-        min_user_messages=int(options.get("min_user_messages", 5)),
-    )
-
-
-def _build_volume(binding, options):
-    return VolumeFilterState(
-        binding,
-        window_size=int(options.get("window", bulk.DEFAULT_WINDOW_SIZE)),
-        threshold=int(options.get("threshold", bulk.DEFAULT_VOLUME_THRESHOLD)),
-        count_recipients=options.get("count_recipients", "false").lower()
-        in ("1", "true", "yes"),
-    )
-
-
-def _build_checksum(fuzzy):
-    def build(binding, options):
-        return ChecksumFilterState(
-            binding,
-            fuzzy=fuzzy,
-            bulk_threshold=int(
-                options.get("threshold", bulk.DEFAULT_BULK_THRESHOLD)
-            ),
-        )
-
-    return build
-
-
+# builtin id -> filter class and the fixed arguments that set it apart
 BUILTIN_FILTERS = {
-    "bayes": _build_bayes,
-    "volume": _build_volume,
-    "checksum": _build_checksum(fuzzy=False),
-    "checksum-fuzzy": _build_checksum(fuzzy=True),
-    "pass-all": lambda binding, options: ConstantFilterState(binding, Label.HAM),
-    "block-all": lambda binding, options: ConstantFilterState(binding, Label.SPAM),
+    "bayes": (BayesFilterState, {}),
+    "volume": (VolumeFilterState, {}),
+    "checksum": (ChecksumFilterState, {"fuzzy": False}),
+    "checksum-fuzzy": (ChecksumFilterState, {"fuzzy": True}),
+    "pass-all": (ConstantFilterState, {"label": Label.HAM}),
+    "block-all": (ConstantFilterState, {"label": Label.SPAM}),
 }
-
-# builtin ids with intrinsic protocol needs
-BUILTIN_NEEDS_TRAINING = {"bayes"}
 
 
 def build_filter(binding: FilterBinding, options: dict | None = None):
     """Instantiate the stateful filter object for a binding.
 
-    Raises ConfigInvalid when an option value does not parse.
+    options maps option names to their config text; each is converted to
+    the type in the filter class's OPTIONS table. Raises ConfigInvalid for
+    an option the filter does not have or a value that does not convert.
     """
-    options = options or {}
-    if binding.builtin is not None:
+    if binding.builtin is None:
+        cls, kwargs = ExternalFilterState, {}
+    else:
         try:
-            factory = BUILTIN_FILTERS[binding.builtin]
+            cls, fixed = BUILTIN_FILTERS[binding.builtin]
         except KeyError:
             raise ValueError(f"unknown builtin filter {binding.builtin!r}")
-        try:
-            return factory(binding, options)
-        except ValueError as exc:
-            raise ConfigInvalid(f"filter {binding.name}: {exc}") from exc
-    return ExternalFilterState(binding)
+        kwargs = dict(fixed)
+    where = f"filter {binding.name}"
+    for option, text in (options or {}).items():
+        key = f"{binding.name}.{option}"
+        if option not in cls.OPTIONS:
+            raise ConfigInvalid(f"{where}: unknown option {key}")
+        kwargs[option] = parse_value(where, key, text, cls.OPTIONS[option])
+    return cls(binding, **kwargs)
 
 
 def classify(filt, m: Message, context=None) -> Verdict:

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .corpus import Corpus, Label, Message, tokenize
 from .errors import (
     CalibrationFailed,
     ConfigInvalid,
     EmptyDictionary,
+    IoFailure,
     MalformedAddress,
 )
 
@@ -61,32 +63,23 @@ class SimConfig:
             raise ConfigInvalid("sigma must be > 0")
         if self.n_users < 2:
             raise ConfigInvalid("n_users must be >= 2")
+        for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} must be >= 0")
         if not 0.0 <= self.target_spam_fraction <= 1.0:
             raise ConfigInvalid("target_spam_fraction must be in [0, 1]")
         if self.burst_rate < 1:
             raise ConfigInvalid("burst_rate must be >= 1")
 
 
-_SIM_FIELD_TYPES = {
-    "n_users": int,
-    "n_mailing_lists": int,
-    "n_spammers": int,
-    "sigma": float,
-    "seed": int,
-    "steps": int,
-    "target_spam_fraction": float,
-    "recipients_mean": float,
-    "send_prob": float,
-    "activation_prob": float,
-    "burst_rate": int,
-    "spammer_db_size": int,
-}
-
-
 def parse_kv(path) -> dict[str, str]:
     """Parse a "key = value" config file; '#' lines are comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -97,20 +90,43 @@ def parse_kv(path) -> dict[str, str]:
     return values
 
 
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+def parse_value(where, key: str, text: str, kind: type):
+    """Convert one config value to kind (int, float or bool).
+
+    Bools are spelled 1/true/yes/on or 0/false/no/off, in any case.
+    Raises ConfigInvalid naming where and key when text does not convert.
+    """
+    try:
+        return _BOOL_TEXT[text.strip().lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        expected = "/".join(_BOOL_TEXT) if kind is bool else f"a valid {kind.__name__}"
+        raise ConfigInvalid(f"{where}: {key} = {text!r} is not {expected}") from None
+
+
 def load_sim_config(path) -> SimConfig:
     """Load a SimConfig from a key = value file and validate it."""
-    values = parse_kv(path)
+    kinds = get_type_hints(SimConfig)
     kwargs = {}
-    for key, text in values.items():
-        if key not in _SIM_FIELD_TYPES:
+    for key, text in parse_kv(path).items():
+        if key not in kinds:
             raise ConfigInvalid(f"{path}: unknown key {key!r}")
-        try:
-            kwargs[key] = _SIM_FIELD_TYPES[key](text)
-        except ValueError as exc:
-            raise ConfigInvalid(f"{path}: bad value for {key}: {text!r}") from exc
+        kwargs[key] = parse_value(path, key, text, kinds[key])
     config = SimConfig(**kwargs)
     config.validate()
     return config
+
+
+def write_sim_config(config: SimConfig, path) -> None:
+    """Write config in the key = value format load_sim_config reads."""
+    text = "".join(f"{k} = {v}\n" for k, v in asdict(config).items())
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

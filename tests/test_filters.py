@@ -141,8 +141,7 @@ class TestEmitTrainingSets:
 
     def user_models(self, stream):
         f = build_filter(
-            FilterBinding(name="bayes", level=Level.USER, builtin="bayes",
-                          needs_training=True),
+            FilterBinding(name="bayes", level=Level.USER, builtin="bayes"),
             {"min_user_messages": "0"},
         )
         f.train_user_models(stream)
@@ -192,9 +191,7 @@ class TestEmitTrainingSets:
 
 class TestTrain:
     def bayes_binding(self):
-        return FilterBinding(
-            name="bayes", level=Level.USER, builtin="bayes", needs_training=True,
-        )
+        return FilterBinding(name="bayes", level=Level.USER, builtin="bayes")
 
     def test_builtin_bayes_trains_from_mboxes(self, tmp_path):
         stream = [
@@ -253,13 +250,7 @@ class TestTrain:
                 f"pathlib.Path({str(marker)!r}).write_text(' '.join(sys.argv[1:]))\n"
             )
         )
-        binding = external_binding(
-            "print('ham')", needs_training=True,
-        )
-        binding = FilterBinding(
-            name=binding.name, level=binding.level, command=binding.command,
-            trainer_command=trainer_ok, needs_training=True,
-        )
+        binding = external_binding("print('ham')", trainer_command=trainer_ok)
         ham = tmp_path / "ham.mbox"
         spam = tmp_path / "spam.mbox"
         ham.write_text("")
@@ -272,7 +263,6 @@ class TestTrain:
         failing = FilterBinding(
             name="bad", level=Level.USER, command=binding.command,
             trainer_command=f"{shlex.quote(sys.executable)} -c 'raise SystemExit(3)'",
-            needs_training=True,
         )
         with pytest.raises(TrainerFailed):
             train(build_filter(failing), ham, spam)

@@ -5,7 +5,7 @@ import pytest
 
 from spamlab.errors import ConfigInvalid
 from spamlab.evalcli import load_scenario, main, rank, run_scenario
-from spamlab.filters import Level
+from spamlab.filters import Level, build_filter
 
 
 def run(scenario_path, out):
@@ -46,6 +46,24 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.filter_options["bayes"]["threshold"] == "0.8"
         assert scenario.filter_options["volume"]["threshold"] == "4"
+
+    def test_bool_option_spellings_and_outside_options(
+        self, tmp_path, scenario_builder
+    ):
+        path = scenario_builder(tmp_path)
+        with open(path, "a") as fh:
+            # checksum and other are not in the lineup: their keys stay legal
+            fh.write(
+                "volume.count_recipients = on\n"
+                "checksum.threshold = 3\n"
+                "external.other = cat\n"
+                "connlog.other = maybe\n"
+            )
+        scenario = load_scenario(path)
+        volume = scenario.filters[1]
+        built = build_filter(volume, scenario.filter_options[volume.name])
+        assert built.window.count_recipients is True
+        assert "checksum" not in scenario.filter_options
 
 
 class TestRunScenario:
@@ -195,31 +213,70 @@ class TestCli:
         calibrated = load_sim_config(out_cfg)
         assert 0 < calibrated.activation_prob <= 1.0
 
-    def test_run_verb_reports_config_errors(self, tmp_path, capsys):
+    def test_run_verb_reports_config_errors(self, tmp_path, scenario_builder, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("name = broken\n")
-        assert main(["run", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        no_sim = scenario_builder(
+            tmp_path / "no-sim", scenario_overrides={"sim": "absent.cfg"}
+        )
+        binary = scenario_builder(tmp_path / "binary")
+        with open(binary, "ab") as fh:
+            fh.write(b"name = \xff\n")
+        negative = scenario_builder(
+            tmp_path / "negative", sim_overrides={"spammer_db_size": -5}
+        )
+        no_spam = scenario_builder(
+            tmp_path / "no-spam",
+            sim_overrides={"activation_prob": 0.001},
+            scenario_overrides={"training_steps": 3},
+        )
+        cases = [
+            ("run", bad, "missing key"),
+            ("run", tmp_path / "missing.cfg", "missing.cfg"),
+            ("run", no_sim, "absent.cfg"),
+            ("run", binary, str(binary)),
+            ("calibrate", binary, str(binary)),
+            ("run", negative, "spammer_db_size"),
+            ("calibrate", negative, "spammer_db_size"),
+            ("run", no_spam, "filter bayes: the training stream has no spam;"),
+        ]
+        out = tmp_path / "out"
+        for verb, path, expect in cases:
+            assert main([verb, str(path), "-o", str(out)]) == 1, (verb, path)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and expect in err, err
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize(
-        "overrides, extra",
+        "overrides, extra, expect",
         [
-            ({"filters": "volume U"}, ""),
-            ({"filters": "ext U"}, "external.ext = cat\nconnlog.ext = true\n"),
-            ({"training_steps": "abc"}, ""),
-            ({"eval_steps": "abc"}, ""),
-            ({}, "bayes.n = abc\n"),
-            ({}, "bayes.threshold = abc\n"),
-            ({}, "volume.window = abc\n"),
-            ({}, "checksum-fuzzy.threshold = x\n"),
+            ({"filters": "volume U"}, "", "volume needs level S"),
+            ({"filters": "ext U"}, "external.ext = cat\nconnlog.ext = true\n",
+             "connlog.ext needs level S"),
+            ({"training_steps": "abc"}, "", "training_steps = 'abc'"),
+            ({"eval_steps": "abc"}, "", "eval_steps = 'abc'"),
+            ({}, "bayes.n = abc\n", "bayes.n = 'abc'"),
+            ({}, "bayes.threshold = abc\n", "bayes.threshold = 'abc'"),
+            ({}, "volume.window = abc\n", "volume.window = 'abc'"),
+            ({}, "checksum-fuzzy.threshold = x\n", "checksum-fuzzy.threshold = 'x'"),
+            ({}, "eval_stepz = 3\n", "unknown key 'eval_stepz'"),
+            ({}, "bayes.thresold = 0.8\n", "unknown option bayes.thresold"),
+            ({"personalized": "flase"}, "", "personalized = 'flase'"),
+            ({}, "volume.count_recipients = maybe\n",
+             "volume.count_recipients = 'maybe'"),
+            ({"training_steps": 0}, "",
+             "filter bayes: the training stream has no spam and no ham"),
         ],
         ids=[
             "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
             "bayes.n", "bayes.threshold", "volume.window", "checksum.threshold",
+            "unknown-key", "unknown-option", "bad-bool", "bad-bool-option",
+            "no-training",
         ],
     )
     def test_run_verb_reports_bad_values(
-        self, tmp_path, scenario_builder, capsys, overrides, extra
+        self, tmp_path, scenario_builder, capsys, overrides, extra, expect
     ):
         path = scenario_builder(
             tmp_path,
@@ -230,5 +287,5 @@ class TestCli:
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and expect in err, err
         assert "Traceback" not in err

@@ -15,6 +15,7 @@ from spamlab.trafficgen import (
     ConnectionLogEntry,
     SimConfig,
     World,
+    _pilot_spam_fraction,
     add_bogus_received,
     add_random_words,
     calibrate_spam_fraction,
@@ -344,6 +345,9 @@ class TestSimConfigFile:
             SimConfig(n_users=1).validate()
         with pytest.raises(ConfigInvalid):
             SimConfig(target_spam_fraction=1.5).validate()
+        for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
+            with pytest.raises(ConfigInvalid, match=name):
+                SimConfig(**{name: -5}).validate()
 
 
 class TestCalibration:
@@ -372,6 +376,34 @@ class TestCalibration:
         for _ in range(600):
             messages.extend(m for m, _ in step(world, rng))
         assert abs(measure_spam_fraction(messages) - 0.4) <= 0.04
+
+    @pytest.mark.parametrize(
+        "shape, personalized",
+        [
+            (dict(n_mailing_lists=0, n_spammers=8, burst_rate=10,
+                  spammer_db_size=10), False),
+            (dict(n_mailing_lists=2, n_spammers=6, burst_rate=5,
+                  spammer_db_size=12), False),
+            (dict(n_mailing_lists=2, n_spammers=6, burst_rate=5,
+                  spammer_db_size=12), True),
+            (dict(n_mailing_lists=1, n_spammers=10, burst_rate=30,
+                  spammer_db_size=60, activation_prob=0.03), False),
+        ],
+        ids=["no-lists", "lists-bcc", "lists-personalized", "db-beyond-users"],
+    )
+    def test_pilot_matches_world(self, shape, personalized):
+        # the pilot copies the sender state machines of step(); a real run
+        # at the same activation_prob must land on the pilot's spam share
+        config = SimConfig(
+            **{"n_users": 40, "sigma": 5.0, "send_prob": 0.1,
+               "activation_prob": 0.08, **shape}
+        )
+        world, rng = build_world(
+            config, random.Random(1), personalize_spam=personalized
+        )
+        stream = [m for _ in range(2500) for m, _ in step(world, rng)]
+        pilot = _pilot_spam_fraction(config, 1.0, 10_000, seed=1)
+        assert measure_spam_fraction(stream) == pytest.approx(pilot, abs=0.02)
 
     def test_measure_spam_fraction_weighs_recipients(self):
         world, rng = build_world(
