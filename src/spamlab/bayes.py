@@ -40,10 +40,6 @@ class BayesModel:
     threshold: float = DEFAULT_THRESHOLD
     prior_spam: float = 0.5
 
-    @property
-    def prior_ham(self) -> float:
-        return 1.0 - self.prior_spam
-
 
 def word_spaminess(model: BayesModel, word: str) -> float:
     """Probability that a word occurs in spam rather than ham.
@@ -166,48 +162,3 @@ def _count_tokens(messages) -> tuple[Counter, int]:
         counts.update(tokenize(m.body))
         n += 1
     return counts, n
-
-
-def save_model(model: BayesModel, path: str | Path) -> None:
-    """Dump a model as plain text: a key/value header followed by one
-    "token TAB spam_count TAB ham_count" line per token."""
-    vocabulary = sorted(set(model.spam_count) | set(model.ham_count))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n_spam_msgs\t{model.n_spam_msgs}\n")
-        fh.write(f"n_ham_msgs\t{model.n_ham_msgs}\n")
-        fh.write(f"n_interesting\t{model.n_interesting}\n")
-        fh.write(f"threshold\t{model.threshold!r}\n")
-        fh.write(f"prior_spam\t{model.prior_spam!r}\n")
-        fh.write("\n")
-        for token in vocabulary:
-            fh.write(
-                f"{token}\t{model.spam_count.get(token, 0)}"
-                f"\t{model.ham_count.get(token, 0)}\n"
-            )
-
-
-def load_model(path: str | Path) -> BayesModel:
-    """Load a model written by save_model."""
-    head_text, _, token_text = (
-        Path(path).read_text(encoding="utf-8").partition("\n\n")
-    )
-    header = dict(line.split("\t", 1) for line in head_text.split("\n") if line)
-    spam_count: Counter = Counter()
-    ham_count: Counter = Counter()
-    for line in token_text.split("\n"):
-        if not line:
-            continue
-        token, s, h = line.split("\t")
-        if int(s):
-            spam_count[token] = int(s)
-        if int(h):
-            ham_count[token] = int(h)
-    return BayesModel(
-        spam_count=spam_count,
-        ham_count=ham_count,
-        n_spam_msgs=int(header["n_spam_msgs"]),
-        n_ham_msgs=int(header["n_ham_msgs"]),
-        n_interesting=int(header["n_interesting"]),
-        threshold=float(header["threshold"]),
-        prior_spam=float(header["prior_spam"]),
-    )

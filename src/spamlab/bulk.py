@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .corpus import Label, Message, Verdict
 
@@ -112,20 +111,3 @@ def checksum_classify(db: ChecksumDB, m: Message, fuzzy: bool) -> Verdict:
     label = Label.SPAM if seen >= db.bulk_threshold else Label.HAM
     db.counts[digest] = seen + 1
     return Verdict(label, None)
-
-
-def save_checksum_db(db: ChecksumDB, path) -> None:
-    """Write the digest counts as "digest TAB count" lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for digest in sorted(db.counts):
-            fh.write(f"{digest}\t{db.counts[digest]}\n")
-
-
-def load_checksum_db(path, bulk_threshold: int = DEFAULT_BULK_THRESHOLD) -> ChecksumDB:
-    """Load a database written by save_checksum_db."""
-    counts: dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line:
-            digest, count = line.split("\t")
-            counts[digest] = int(count)
-    return ChecksumDB(counts=counts, bulk_threshold=bulk_threshold)

@@ -38,7 +38,7 @@ class EmptyTrainingSet(SpamlabError):
 
 
 class IoFailure(SpamlabError):
-    """Writing training sets or reports failed at the filesystem level."""
+    """A run file could not be written or read back."""
 
 
 class NoSpamEvaluated(SpamlabError):

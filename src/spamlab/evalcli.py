@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import random
+import shlex
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from .errors import (
     ConfigInvalid,
     CorpusMissing,
     EmptyTrainingSet,
+    IoFailure,
     NoHamEvaluated,
     NoSpamEvaluated,
     SpamlabError,
@@ -112,6 +114,18 @@ class FilterResult:
     wrapper_errors: int = 0
 
 
+def score(
+    name: str, level: Level, counts: ConfusionCounts, wrapper_errors: int = 0
+) -> FilterResult:
+    """Score one filter's counts: FAR and FRR where defined, W where both are."""
+    far_value = far(counts) if counts.n_spam else None
+    frr_value = frr(counts) if counts.n_ham else None
+    w = None
+    if far_value is not None and frr_value is not None:
+        w = wrongness(far_value, frr_value)
+    return FilterResult(name, level, counts, far_value, frr_value, w, wrapper_errors)
+
+
 def rank(results: list[FilterResult]) -> list[FilterResult]:
     """Order results by ascending wrongness, ties broken by name.
 
@@ -152,6 +166,16 @@ class Scenario:
             raise ConfigInvalid("filter names must be unique")
 
 
+def _check_command(where: str, key: str, text: str) -> None:
+    """Raise ConfigInvalid naming key unless text splits into a command."""
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{where}: {key} = {text!r}: {exc}") from exc
+    if not argv:
+        raise ConfigInvalid(f"{where}: {key} is empty")
+
+
 def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level) -> FilterBinding:
     tokens = entry.split()
     if len(tokens) > 3:
@@ -170,6 +194,12 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
     if wants_log and level is not Level.SERVER:
         raise ConfigInvalid(f"filter {name}: {key} needs level S")
     command = values.get(f"external.{name}")
+    trainer = values.get(f"trainer.{name}") if command is not None else None
+    for command_key, text in (
+        (f"external.{name}", command), (f"trainer.{name}", trainer)
+    ):
+        if text is not None:
+            _check_command(f"filter {name}", command_key, text)
     if command is None:
         if builtin_id not in BUILTIN_FILTERS:
             raise ConfigInvalid(
@@ -182,7 +212,7 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
         level=level,
         builtin=builtin_id if command is None else None,
         command=command,
-        trainer_command=values.get(f"trainer.{name}") if command is not None else None,
+        trainer_command=trainer,
         needs_connection_log=wants_log,
     )
 
@@ -318,13 +348,17 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
         for (m, _e) in step(world, rng)
     ]
     _train_filters(filters, training_stream, out)
-    out.mkdir(parents=True, exist_ok=True)
 
     log_path = out / "connections.log"
     log_read = any(f.binding.needs_connection_log for f in filters)
     counts = {f.binding.name: ConfusionCounts() for f in filters}
     errors = {f.binding.name: 0 for f in filters}
-    with open(log_path, "w", encoding="utf-8", newline="\n") as log:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        log = open(log_path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    with log:
         for _ in range(scenario.eval_steps):
             for m, entry in step(world, rng):
                 log.write(entry.as_line() + "\n")
@@ -339,43 +373,12 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
                         continue
                     counts[name].record(m.truth, verdict.label)
 
-    results = []
-    footnotes = []
-    for f in filters:
-        name = f.binding.name
-        c = counts[name]
-        try:
-            far_value = far(c)
-        except NoSpamEvaluated:
-            far_value = None
-            footnotes.append(f"{name}: no spam evaluated; FAR and W undefined")
-        try:
-            frr_value = frr(c)
-        except NoHamEvaluated:
-            frr_value = None
-            footnotes.append(f"{name}: no ham evaluated; FRR and W undefined")
-        w = (
-            wrongness(far_value, frr_value)
-            if far_value is not None and frr_value is not None
-            else None
-        )
-        if errors[name]:
-            footnotes.append(
-                f"{name}: {errors[name]} wrapper errors excluded from counts"
-            )
-        results.append(
-            FilterResult(
-                name=name,
-                level=f.binding.level,
-                counts=c,
-                far=far_value,
-                frr=frr_value,
-                wrongness=w,
-                wrapper_errors=errors[name],
-            )
-        )
-    ranked = rank(results)
-    write_reports(ranked, out, footnotes)
+    ranked = rank([
+        score(f.binding.name, f.binding.level, counts[f.binding.name],
+              errors[f.binding.name])
+        for f in filters
+    ])
+    write_reports(ranked, out)
     return ranked
 
 
@@ -383,11 +386,13 @@ def _fmt(value, spec, missing="-"):
     return format(value, spec) if value is not None else missing
 
 
-def write_reports(ranked: list[FilterResult], out_dir, footnotes=()) -> None:
-    """Write results.txt, results.csv, and farfrr.svg for ranked results."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def write_reports(ranked: list[FilterResult], out_dir) -> None:
+    """Write results.txt, results.csv, and farfrr.svg for ranked results.
 
+    results.txt ends with a note for each undefined rate and each filter
+    with wrapper errors, in table order.
+    """
+    out = Path(out_dir)
     lines = [
         f"{'Filter':<20}{'Level':<7}{'FRR':>8}{'FAR':>8}{'W*10^5':>10}",
         "-" * 53,
@@ -399,31 +404,41 @@ def write_reports(ranked: list[FilterResult], out_dir, footnotes=()) -> None:
             f"{_fmt(r.frr, '.4f'):>8}{_fmt(r.far, '.3f'):>8}"
             f"{_fmt(w_e5, '.2f'):>10}"
         )
-    for note in footnotes:
-        lines.append(f"note: {note}")
-    (out / "results.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "filter", "level", "n_spam", "n_ham",
-                "ss", "sh", "hs", "hh", "wrapper_errors",
-                "frr", "far", "wrongness",
-            ]
-        )
-        for r in ranked:
+    for r in ranked:
+        if r.far is None:
+            lines.append(f"note: {r.name}: no spam evaluated; FAR and W undefined")
+        if r.frr is None:
+            lines.append(f"note: {r.name}: no ham evaluated; FRR and W undefined")
+        if r.wrapper_errors:
+            lines.append(
+                f"note: {r.name}: {r.wrapper_errors} wrapper errors excluded"
+                " from counts"
+            )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "results.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(out / "results.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow(
                 [
-                    r.name, r.level.value, r.counts.n_spam, r.counts.n_ham,
-                    r.counts.ss, r.counts.sh, r.counts.hs, r.counts.hh,
-                    r.wrapper_errors,
-                    _fmt(r.frr, ".10g", ""), _fmt(r.far, ".10g", ""),
-                    _fmt(r.wrongness, ".10g", ""),
+                    "filter", "level", "n_spam", "n_ham",
+                    "ss", "sh", "hs", "hh", "wrapper_errors",
+                    "frr", "far", "wrongness",
                 ]
             )
-
-    (out / "farfrr.svg").write_text(render_far_frr_svg(ranked), encoding="utf-8")
+            for r in ranked:
+                writer.writerow(
+                    [
+                        r.name, r.level.value, r.counts.n_spam, r.counts.n_ham,
+                        r.counts.ss, r.counts.sh, r.counts.hs, r.counts.hh,
+                        r.wrapper_errors,
+                        _fmt(r.frr, ".10g", ""), _fmt(r.far, ".10g", ""),
+                        _fmt(r.wrongness, ".10g", ""),
+                    ]
+                )
+        (out / "farfrr.svg").write_text(render_far_frr_svg(ranked), encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -498,26 +513,36 @@ def render_far_frr_svg(results, frr_max: float = 0.02, far_max: float = 1.0) -> 
     return "\n".join(parts) + "\n"
 
 
+_COUNT_COLUMNS = ("ss", "sh", "hs", "hh")
+
+
 def _read_results_csv(path) -> list[FilterResult]:
-    results = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            counts = ConfusionCounts(
-                ss=int(row["ss"]), sh=int(row["sh"]),
-                hs=int(row["hs"]), hh=int(row["hh"]),
-            )
-            results.append(
-                FilterResult(
-                    name=row["filter"],
-                    level=Level(row["level"]),
-                    counts=counts,
-                    far=float(row["far"]) if row["far"] else None,
-                    frr=float(row["frr"]) if row["frr"] else None,
-                    wrongness=float(row["wrongness"]) if row["wrongness"] else None,
-                    wrapper_errors=int(row["wrapper_errors"]),
-                )
-            )
-    return results
+    """Rebuild the results that write_reports put in a results.csv.
+
+    Only the filter, level, counts and wrapper_errors columns are read;
+    score recomputes FAR, FRR and W from the counts, so the rebuilt
+    results are the ones the run wrote.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("filter", "level", *_COUNT_COLUMNS, "wrapper_errors"):
+                if column not in (reader.fieldnames or ()):
+                    raise IoFailure(f"{path}: no {column!r} column")
+            results = []
+            for row in reader:
+                try:
+                    counts = [int(row[c]) for c in _COUNT_COLUMNS]
+                    results.append(score(
+                        row["filter"], Level(row["level"]),
+                        ConfusionCounts(*counts), int(row["wrapper_errors"]),
+                    ))
+                except (TypeError, ValueError) as exc:
+                    where = f"{path}, line {reader.line_num}"
+                    raise IoFailure(f"{where}: {exc}") from exc
+            return results
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:

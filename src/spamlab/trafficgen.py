@@ -467,13 +467,6 @@ def step(world: World, rng) -> list[tuple[Message, ConnectionLogEntry]]:
     return out
 
 
-def write_connection_log(entries, path) -> None:
-    """Write log entries as tab-separated lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in entries:
-            fh.write(entry.as_line() + "\n")
-
-
 def measure_spam_fraction(messages) -> float:
     """Recipient-weighted spam share of a message stream.
 

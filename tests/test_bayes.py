@@ -10,9 +10,7 @@ from spamlab.bayes import (
     bayes_classify,
     combine_spam_probability,
     interesting_words,
-    load_model,
     posterior_spam,
-    save_model,
     train_bayes,
     word_spaminess,
 )
@@ -222,24 +220,3 @@ class TestTrain:
         model = train_bayes(ham_path, spam_path)
         m = make_message(body="offer000 offer001 offer002", subject="")
         assert posterior_spam(model, interesting_words(model, m)) >= 0.99
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        model = model_from_counts(
-            {"offer": 3, "cash": 1}, {"memo": 2}, 4, 5,
-            n_interesting=10, threshold=0.8,
-        )
-        model.prior_spam = 4 / 9
-        path = tmp_path / "model.tsv"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded == model
-
-    def test_dump_is_line_oriented(self, tmp_path):
-        model = model_from_counts({"b": 1}, {"a": 2}, 1, 1)
-        path = tmp_path / "model.tsv"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        assert "a\t0\t2" in lines
-        assert "b\t1\t0" in lines

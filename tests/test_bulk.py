@@ -9,8 +9,6 @@ from spamlab.bulk import (
     VolumeWindow,
     body_checksum,
     checksum_classify,
-    load_checksum_db,
-    save_checksum_db,
     volume_classify,
 )
 from spamlab.corpus import Label
@@ -150,12 +148,3 @@ class TestChecksumFilter:
                 checksum_classify(mixed, make_message(body="x"), False).label
             )
         assert plain_labels == mixed_labels
-
-    def test_persistence_round_trip(self, tmp_path):
-        db = ChecksumDB(bulk_threshold=3)
-        for body in ("aa", "bb", "aa"):
-            checksum_classify(db, make_message(body=body), fuzzy=False)
-        path = tmp_path / "db.tsv"
-        save_checksum_db(db, path)
-        loaded = load_checksum_db(path, bulk_threshold=3)
-        assert loaded.counts == db.counts

@@ -185,17 +185,58 @@ class TestCli:
         assert (out / "results.csv").exists()
 
     def test_report_verb_regenerates(self, tmp_path, scenario_builder, capsys):
-        path = scenario_builder(
-            tmp_path, scenario_overrides={"training_steps": 5, "eval_steps": 5}
+        plain = scenario_builder(
+            tmp_path / "plain",
+            scenario_overrides={"training_steps": 5, "eval_steps": 5},
         )
-        out = tmp_path / "cli-out"
-        main(["run", str(path), "-o", str(out)])
-        before = (out / "results.txt").read_bytes()
-        (out / "results.txt").unlink()
-        (out / "farfrr.svg").unlink()
-        assert main(["report", str(out)]) == 0
-        assert (out / "results.txt").read_bytes() == before
-        assert (out / "farfrr.svg").exists()
+        # notes on two filters, which rank in the reverse of lineup order
+        notes = scenario_builder(
+            tmp_path / "notes",
+            sim_overrides={"n_spammers": 0},
+            scenario_overrides={
+                "filters": "pass-all U; broken U",
+                "training_steps": 0,
+                "eval_steps": 3,
+            },
+        )
+        with open(notes, "a") as fh:
+            fh.write("external.broken = sh -c 'exit 1'\n")
+        reports = ("results.txt", "results.csv", "farfrr.svg")
+        for path in (plain, notes):
+            out = path.parent / "cli-out"
+            assert main(["run", str(path), "-o", str(out)]) == 0
+            before = {name: (out / name).read_bytes() for name in reports}
+            (out / "results.txt").unlink()
+            (out / "farfrr.svg").unlink()
+            assert main(["report", str(out)]) == 0
+            for name in reports:
+                assert (out / name).read_bytes() == before[name], (path, name)
+        assert before["results.txt"].count(b"\nnote: ") == 4
+
+    def test_report_verb_reports_bad_run_directories(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        short = tmp_path / "short"
+        short.mkdir()
+        (short / "results.csv").write_text(
+            "filter,level,n_spam,n_ham,sh,hs,hh,wrapper_errors\n"
+            "pass-all,U,4,6,4,0,6,0\n"
+        )
+        bad_count = tmp_path / "bad-count"
+        bad_count.mkdir()
+        (bad_count / "results.csv").write_text(
+            "filter,level,n_spam,n_ham,ss,sh,hs,hh,wrapper_errors\n"
+            "pass-all,U,4,6,0,x,0,6,0\n"
+        )
+        for rundir, expect in (
+            (empty, str(empty / "results.csv")),
+            (short, "no 'ss' column"),
+            (bad_count, "results.csv, line 2: invalid literal"),
+        ):
+            assert main(["report", str(rundir)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and expect in err, err
+            assert err.count("\n") == 1
 
     def test_calibrate_verb_writes_config(self, tmp_path, scenario_builder, capsys):
         path = scenario_builder(
@@ -230,6 +271,10 @@ class TestCli:
             sim_overrides={"activation_prob": 0.001},
             scenario_overrides={"training_steps": 3},
         )
+        untrained = scenario_builder(
+            tmp_path / "untrained",
+            scenario_overrides={"filters": "pass-all U", "eval_steps": 2},
+        )
         cases = [
             ("run", bad, "missing key"),
             ("run", tmp_path / "missing.cfg", "missing.cfg"),
@@ -239,10 +284,13 @@ class TestCli:
             ("run", negative, "spammer_db_size"),
             ("calibrate", negative, "spammer_db_size"),
             ("run", no_spam, "filter bayes: the training stream has no spam;"),
+            # -o names a file: the run directory cannot be made
+            ("run", untrained, str(untrained), untrained),
         ]
         out = tmp_path / "out"
-        for verb, path, expect in cases:
-            assert main([verb, str(path), "-o", str(out)]) == 1, (verb, path)
+        for verb, path, expect, *target in cases:
+            target = target[0] if target else out
+            assert main([verb, str(path), "-o", str(target)]) == 1, (verb, path)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and expect in err, err
             assert err.count("\n") == 1
@@ -267,12 +315,20 @@ class TestCli:
              "volume.count_recipients = 'maybe'"),
             ({"training_steps": 0}, "",
              "filter bayes: the training stream has no spam and no ham"),
+            ({"filters": "ext U"}, "external.ext =\n", "external.ext is empty"),
+            ({"filters": "ext U"}, "external.ext = 'abc\n",
+             "external.ext = \"'abc\": No closing quotation"),
+            ({"filters": "ext U"}, "external.ext = cat\ntrainer.ext =\n",
+             "trainer.ext is empty"),
+            ({"filters": "ext U"}, "external.ext = cat\ntrainer.ext = 'abc\n",
+             "trainer.ext = \"'abc\": No closing quotation"),
         ],
         ids=[
             "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
             "bayes.n", "bayes.threshold", "volume.window", "checksum.threshold",
             "unknown-key", "unknown-option", "bad-bool", "bad-bool-option",
-            "no-training",
+            "no-training", "empty-command", "unbalanced-command",
+            "empty-trainer", "unbalanced-trainer",
         ],
     )
     def test_run_verb_reports_bad_values(

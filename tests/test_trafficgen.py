@@ -24,7 +24,6 @@ from spamlab.trafficgen import (
     personalize,
     select_recipients,
     step,
-    write_connection_log,
 )
 
 HAM_CORPUS = Corpus(
@@ -303,14 +302,13 @@ class TestStep:
 
 
 class TestConnectionLog:
-    def test_tab_separated_lines(self, tmp_path):
+    def test_tab_separated_lines(self):
         entries = [
             ConnectionLogEntry(0, "h0", "a@b.c", 2),
             ConnectionLogEntry(1, "h1", "d@e.f", 1),
         ]
-        path = tmp_path / "conn.log"
-        write_connection_log(entries, path)
-        assert path.read_text() == "0\th0\ta@b.c\t2\n1\th1\td@e.f\t1\n"
+        lines = [entry.as_line() for entry in entries]
+        assert lines == ["0\th0\ta@b.c\t2", "1\th1\td@e.f\t1"]
 
 
 class TestSimConfigFile:
