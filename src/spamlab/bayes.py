@@ -3,11 +3,16 @@
 Estimates a per-word spam probability from labelled training mail, picks
 the most polarized words of an incoming message, and combines them with
 Bayes rule into a spam posterior that is compared against a threshold.
+
+Every function that tokenizes takes an optional token lookup (text ->
+tokens), plain tokenize by default. A filter that sees the same texts
+again and again passes a TokenMemo instead, so each text is tokenized once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,11 +30,30 @@ P_MAX = 0.99
 P_NEUTRAL = 0.5
 
 
+class TokenMemo(dict):
+    """Token lookup that tokenizes each distinct text once.
+
+    Maps text -> tuple of interned tokens, filled on first lookup; call it
+    like tokenize. It holds every text it has seen, so give each filter
+    its own and let it go with the filter. Interning keeps one copy of
+    each word across all the texts held.
+    """
+
+    def __missing__(self, text: str) -> tuple[str, ...]:
+        tokens = self[text] = tuple(map(sys.intern, tokenize(text)))
+        return tokens
+
+    __call__ = dict.__getitem__
+
+
 @dataclass
 class BayesModel:
     """Word occurrence counts and classification parameters.
 
-    Immutable by convention after training; classification never writes.
+    The counts must not change after training: word_spaminess fills the
+    spaminess table (word -> p) as classification asks for words, and a
+    changed count would leave its entries stale. The table is left out of
+    repr and ==, and dataclasses.replace gives the copy an empty one.
     """
 
     spam_count: Counter = field(default_factory=Counter)
@@ -39,6 +63,9 @@ class BayesModel:
     n_interesting: int = DEFAULT_N_INTERESTING
     threshold: float = DEFAULT_THRESHOLD
     prior_spam: float = 0.5
+    spaminess: dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def word_spaminess(model: BayesModel, word: str) -> float:
@@ -46,21 +73,30 @@ def word_spaminess(model: BayesModel, word: str) -> float:
 
     Computed as (S(w)/N_S) / (S(w)/N_S + H(w)/N_H), clamped to
     [0.01, 0.99]. Words absent from both training sets are neutral (0.5).
+    Each word is computed once per model and kept in model.spaminess.
     """
-    s = model.spam_count.get(word, 0) / model.n_spam_msgs
-    h = model.ham_count.get(word, 0) / model.n_ham_msgs
-    if s == 0.0 and h == 0.0:
-        return P_NEUTRAL
-    return min(P_MAX, max(P_MIN, s / (s + h)))
+    p = model.spaminess.get(word)
+    if p is None:
+        s = model.spam_count.get(word, 0) / model.n_spam_msgs
+        h = model.ham_count.get(word, 0) / model.n_ham_msgs
+        if s == 0.0 and h == 0.0:
+            p = P_NEUTRAL
+        else:
+            p = min(P_MAX, max(P_MIN, s / (s + h)))
+        model.spaminess[word] = p
+    return p
 
 
-def interesting_words(model: BayesModel, m) -> list[str]:
+def interesting_words(model: BayesModel, m, tokens=None) -> list[str]:
     """The distinct tokens of subject+body whose spaminess is farthest
     from 0.5, at most n_interesting of them.
 
     Ties break by lexicographic token order so results are deterministic.
+    tokens is the token lookup (default tokenize).
     """
-    distinct = set(tokenize(m.subject)) | set(tokenize(m.body))
+    if tokens is None:
+        tokens = tokenize
+    distinct = set(tokens(m.subject)).union(tokens(m.body))
     ranked = sorted(
         distinct, key=lambda w: (-abs(word_spaminess(model, w) - 0.5), w)
     )
@@ -92,11 +128,11 @@ def posterior_spam(model: BayesModel, words) -> float:
     )
 
 
-def bayes_classify(model: BayesModel, m) -> Verdict:
+def bayes_classify(model: BayesModel, m, tokens=None) -> Verdict:
     """Classify a message: SPAM iff the posterior strictly exceeds the
     threshold. Messages yielding zero tokens are HAM with the prior as
-    score."""
-    words = interesting_words(model, m)
+    score. tokens is the token lookup (default tokenize)."""
+    words = interesting_words(model, m, tokens)
     if not words:
         return Verdict(Label.HAM, model.prior_spam)
     p = posterior_spam(model, words)
@@ -109,9 +145,12 @@ def train_bayes(
     spam: str | Path,
     n: int = DEFAULT_N_INTERESTING,
     threshold: float = DEFAULT_THRESHOLD,
+    tokens=None,
 ) -> BayesModel:
     """Train a model from one ham and one spam mbox (see train_messages)."""
-    return train_messages(_read_mbox(ham), _read_mbox(spam), n, threshold)
+    return train_messages(
+        _read_mbox(ham), _read_mbox(spam), n, threshold, tokens
+    )
 
 
 def _read_mbox(path: str | Path):
@@ -130,17 +169,21 @@ def train_messages(
     spam,
     n: int = DEFAULT_N_INTERESTING,
     threshold: float = DEFAULT_THRESHOLD,
+    tokens=None,
 ) -> BayesModel:
     """Train a model from ham and spam messages (anything with a subject
     and a body).
 
     Token occurrences are counted with multiplicity over subject+body of
     each message; N_S and N_H are message counts and the spam prior is
-    N_S/(N_S+N_H). All ham is counted before spam is iterated. Raises
-    EmptyTrainingSet when either side has no messages.
+    N_S/(N_S+N_H). All ham is counted before spam is iterated. tokens is
+    the token lookup (default tokenize). Raises EmptyTrainingSet when
+    either side has no messages.
     """
-    ham_count, n_ham = _count_tokens(ham)
-    spam_count, n_spam = _count_tokens(spam)
+    if tokens is None:
+        tokens = tokenize
+    ham_count, n_ham = _count_tokens(ham, tokens)
+    spam_count, n_spam = _count_tokens(spam, tokens)
     if n_ham == 0 or n_spam == 0:
         raise EmptyTrainingSet(f"ham={n_ham} spam={n_spam}")
     return BayesModel(
@@ -154,11 +197,11 @@ def train_messages(
     )
 
 
-def _count_tokens(messages) -> tuple[Counter, int]:
+def _count_tokens(messages, tokens) -> tuple[Counter, int]:
     counts: Counter = Counter()
     n = 0
     for m in messages:
-        counts.update(tokenize(m.subject))
-        counts.update(tokenize(m.body))
+        counts.update(tokens(m.subject))
+        counts.update(tokens(m.body))
         n += 1
     return counts, n

@@ -194,7 +194,7 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
     if wants_log and level is not Level.SERVER:
         raise ConfigInvalid(f"filter {name}: {key} needs level S")
     command = values.get(f"external.{name}")
-    trainer = values.get(f"trainer.{name}") if command is not None else None
+    trainer = values.get(f"trainer.{name}")
     for command_key, text in (
         (f"external.{name}", command), (f"trainer.{name}", trainer)
     ):
@@ -207,6 +207,12 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
             )
         if builtin_id == "volume" and level is not Level.SERVER:
             raise ConfigInvalid(f"filter {name}: volume needs level S")
+        # a builtin runs no trainer command and reads no log
+        if trainer is not None or wants_log:
+            unused = f"trainer.{name}" if trainer is not None else key
+            raise ConfigInvalid(
+                f"filter {name}: {unused} is for external filters only"
+            )
     return FilterBinding(
         name=name,
         level=level,

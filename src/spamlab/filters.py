@@ -64,7 +64,9 @@ class BayesFilterState:
 
     A mailbox gets its own model only once it has seen at least
     min_user_messages of each class in training; thinner mailboxes stay on
-    the general model, whose vocabulary coverage is far better.
+    the general model, whose vocabulary coverage is far better. All models
+    and classification share one TokenMemo, so the filter tokenizes each
+    distinct text once in its run.
     """
 
     OPTIONS = {"n": int, "threshold": float, "min_user_messages": int}
@@ -82,9 +84,12 @@ class BayesFilterState:
         self.min_user_messages = min_user_messages
         self.model = None
         self.user_models: dict[str, bayes.BayesModel] = {}
+        self.tokens = bayes.TokenMemo()
 
     def train(self, ham, spam) -> None:
-        self.model = bayes.train_bayes(ham, spam, self.n, self.threshold)
+        self.model = bayes.train_bayes(
+            ham, spam, self.n, self.threshold, self.tokens
+        )
 
     def train_user_models(self, stream) -> None:
         """Give each mailbox with min_user_messages of each class in the
@@ -97,7 +102,7 @@ class BayesFilterState:
         for addr, (ham, spam) in delivered.items():
             if min(len(ham), len(spam)) >= max(self.min_user_messages, 1):
                 self.user_models[addr] = bayes.train_messages(
-                    ham, spam, self.n, self.threshold
+                    ham, spam, self.n, self.threshold, self.tokens
                 )
 
     def classify(self, m: Message, context=None) -> Verdict:
@@ -107,7 +112,7 @@ class BayesFilterState:
             model = self.user_models.get(m.recipients[0], model)
         if model is None:
             raise TrainerFailed(f"{self.binding.name}: classify before train")
-        return bayes.bayes_classify(model, m)
+        return bayes.bayes_classify(model, m, self.tokens)
 
 
 class VolumeFilterState:

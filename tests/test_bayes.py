@@ -1,22 +1,35 @@
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_message, synth_bodies
+from spamlab import bayes
 from spamlab.bayes import (
     BayesModel,
+    TokenMemo,
     bayes_classify,
     combine_spam_probability,
     interesting_words,
     posterior_spam,
     train_bayes,
+    train_messages,
     word_spaminess,
 )
-from spamlab.corpus import Label
+from spamlab.corpus import Label, Verdict, tokenize
 from spamlab.errors import EmptyTrainingSet
-from spamlab.filters import emit_training_sets
+from spamlab.evalcli import load_scenario, run_scenario
+from spamlab.filters import (
+    FilterBinding,
+    Level,
+    build_filter,
+    classify,
+    emit_training_sets,
+    train,
+)
 
 
 def model_from_counts(spam, ham, n_spam, n_ham, **kw):
@@ -220,3 +233,119 @@ class TestTrain:
         model = train_bayes(ham_path, spam_path)
         m = make_message(body="offer000 offer001 offer002", subject="")
         assert posterior_spam(model, interesting_words(model, m)) >= 0.99
+
+
+def seeded_stream(seed, n, unseen=False):
+    """Labelled messages to four mailboxes. Words ham* occur only in ham
+    and spam* only in spam, so they clamp to 0.01 and 0.99; both classes
+    share common*. With unseen, every third message carries a word no
+    training message has. Every tenth message has no tokens."""
+    rng = random.Random(seed)
+    addrs = [f"u{i}@example.org" for i in range(4)]
+    vocab = {
+        Label.HAM: [f"ham{i:02d}" for i in range(25)],
+        Label.SPAM: [f"spam{i:02d}" for i in range(25)],
+    }
+    common = [f"common{i}" for i in range(10)]
+    stream = []
+    for i in range(n):
+        truth = Label.SPAM if rng.random() < 0.4 else Label.HAM
+        words = vocab[truth] + common
+        body = " ".join(rng.choice(words) for _ in range(rng.randint(1, 12)))
+        subject = rng.choice(["", "Re: " + rng.choice(common), body[:20]])
+        if unseen and i % 3 == 0:
+            body += f" unseen{i}"
+        if i % 10 == 9:
+            subject, body = "", "a ! b ?"  # no token of two letters or more
+        to = rng.sample(addrs, rng.randint(1, 2))
+        rest = [a for a in addrs if a not in to]
+        stream.append(make_message(
+            body=body, subject=subject, truth=truth, to=to,
+            bcc=rng.sample(rest, rng.randint(0, len(rest))),
+        ))
+    return stream
+
+
+class TestTokenMemo:
+    """The memo-and-table path gives exactly what the plain path gives:
+    plain tokenize, and a fresh spaminess table for every message."""
+
+    def test_memo_tokenizes_once_and_interns(self):
+        memo = TokenMemo()
+        first = memo("Buy NOW buy")
+        assert first == tuple(tokenize("Buy NOW buy"))
+        assert memo("Buy NOW buy") is first and len(memo) == 1
+        assert first[0] is first[2]
+        assert memo("") == ()
+
+    def test_general_model_and_verdicts_match_plain_path(self):
+        train_stream = seeded_stream(1, 300)
+        ham = [m for m in train_stream if m.truth is Label.HAM]
+        spam = [m for m in train_stream if m.truth is Label.SPAM]
+        memo = TokenMemo()
+        fast = train_messages(ham, spam, tokens=memo)
+        plain = train_messages(ham, spam)
+        for attr in ("spam_count", "ham_count", "n_spam_msgs", "n_ham_msgs",
+                     "prior_spam"):
+            assert getattr(fast, attr) == getattr(plain, attr)
+
+        eval_stream = seeded_stream(101, 300, unseen=True)
+        verdicts = []
+        for m in eval_stream:
+            verdict = bayes_classify(fast, m, memo)
+            assert verdict == bayes_classify(replace(plain), m)
+            verdicts.append(verdict)
+        assert {v.label for v in verdicts} == {Label.HAM, Label.SPAM}
+        assert verdicts[9] == Verdict(Label.HAM, plain.prior_spam)  # no tokens
+        table = fast.spaminess
+        assert table["unseen0"] == 0.5
+        assert table["spam00"] == 0.99 and table["ham00"] == 0.01
+        assert 0.01 < table["common0"] < 0.99
+        for word, p in table.items():
+            assert p == word_spaminess(replace(plain), word)
+
+    def test_per_user_models_and_verdicts_match_plain_path(self, tmp_path):
+        train_stream = seeded_stream(2, 200)
+        binding = FilterBinding(name="bayes", level=Level.USER, builtin="bayes")
+        f = build_filter(binding, {"min_user_messages": "20"})
+        ham_paths, spam_paths = emit_training_sets(train_stream, tmp_path)
+        train(f, ham_paths[0], spam_paths[0])
+        f.train_user_models(train_stream)
+        general = train_bayes(ham_paths[0], spam_paths[0], f.n, f.threshold)
+        assert f.model == general
+        expected = {}
+        for addr in {a for m in train_stream for a in m.recipients}:
+            mine = [m for m in train_stream if addr in m.recipients]
+            ham = [m for m in mine if m.truth is Label.HAM]
+            spam = [m for m in mine if m.truth is Label.SPAM]
+            if min(len(ham), len(spam)) >= 20:
+                expected[addr] = train_messages(ham, spam, f.n, f.threshold)
+        assert f.user_models == expected and len(expected) >= 2
+
+        for m in seeded_stream(102, 300, unseen=True):
+            model = expected.get(m.recipients[0], general)
+            assert classify(f, m) == bayes_classify(replace(model), m)
+
+
+class TestTokenizeOncePerRun:
+    def test_each_text_tokenized_once(
+        self, tmp_path, scenario_builder, monkeypatch
+    ):
+        path = scenario_builder(tmp_path, scenario_overrides={"filters": "bayes U"})
+        texts = []
+
+        def counting_tokenize(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(bayes, "tokenize", counting_tokenize)
+        results = run_scenario(load_scenario(path), tmp_path / "out")
+        assert results[0].counts.n_spam and results[0].counts.n_ham
+        assert texts and len(texts) == len(set(texts))
+
+    def test_filters_do_not_share_a_memo(self):
+        binding = FilterBinding(name="bayes", level=Level.USER, builtin="bayes")
+        a, b = build_filter(binding), build_filter(binding)
+        assert a.tokens is not b.tokens
+        a.tokens("some words")
+        assert len(a.tokens) == 1 and len(b.tokens) == 0

@@ -322,13 +322,20 @@ class TestCli:
              "trainer.ext is empty"),
             ({"filters": "ext U"}, "external.ext = cat\ntrainer.ext = 'abc\n",
              "trainer.ext = \"'abc\": No closing quotation"),
+            ({"filters": "pass-all U"}, "trainer.pass-all = no-such-trainer\n",
+             "trainer.pass-all is for external filters only"),
+            ({}, "connlog.volume = true\n",
+             "connlog.volume is for external filters only"),
+            ({"filters": "bayes S"}, "connlog.bayes = true\n",
+             "connlog.bayes is for external filters only"),
         ],
         ids=[
             "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
             "bayes.n", "bayes.threshold", "volume.window", "checksum.threshold",
             "unknown-key", "unknown-option", "bad-bool", "bad-bool-option",
             "no-training", "empty-command", "unbalanced-command",
-            "empty-trainer", "unbalanced-trainer",
+            "empty-trainer", "unbalanced-trainer", "builtin-trainer",
+            "builtin-connlog-volume", "builtin-connlog-bayes",
         ],
     )
     def test_run_verb_reports_bad_values(
