@@ -104,12 +104,10 @@ def tokenize(text: str) -> list[str]:
     multiplicity are preserved; output never contains uppercase characters
     or whitespace.
     """
-    tokens = []
-    for match in _TOKEN_RE.finditer(text.lower()):
-        token = match.group()
-        if MIN_TOKEN_LEN <= len(token) <= MAX_TOKEN_LEN:
-            tokens.append(token)
-    return tokens
+    return [
+        t for t in _TOKEN_RE.findall(text.lower())
+        if MIN_TOKEN_LEN <= len(t) <= MAX_TOKEN_LEN
+    ]
 
 
 def render_message(m: Message) -> str:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import random
-import shlex
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -39,6 +39,7 @@ from .filters import (
     build_filter,
     classify,
     emit_training_sets,
+    split_command,
     train,
 )
 from .trafficgen import SimConfig, World, parse_kv, parse_value, step
@@ -166,16 +167,6 @@ class Scenario:
             raise ConfigInvalid("filter names must be unique")
 
 
-def _check_command(where: str, key: str, text: str) -> None:
-    """Raise ConfigInvalid naming key unless text splits into a command."""
-    try:
-        argv = shlex.split(text)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{where}: {key} = {text!r}: {exc}") from exc
-    if not argv:
-        raise ConfigInvalid(f"{where}: {key} is empty")
-
-
 def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level) -> FilterBinding:
     tokens = entry.split()
     if len(tokens) > 3:
@@ -199,7 +190,7 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
         (f"external.{name}", command), (f"trainer.{name}", trainer)
     ):
         if text is not None:
-            _check_command(f"filter {name}", command_key, text)
+            split_command(f"filter {name}", command_key, text)
     if command is None:
         if builtin_id not in BUILTIN_FILTERS:
             raise ConfigInvalid(
@@ -330,6 +321,45 @@ def _train_filters(filters, stream, out_dir):
             f.train_user_models(stream)
 
 
+def _classify_into(outcomes, f, m, log_path) -> None:
+    """Store f's verdict on m in outcomes, or the exception it raised."""
+    try:
+        outcomes[f.binding.name] = classify(f, m, log_path)
+    except BaseException as exc:  # raised by the caller once threads are joined
+        outcomes[f.binding.name] = exc
+
+
+def _classify_message(filters, side, m, log_path, counts, errors) -> None:
+    """Classify m with every filter and record each verdict or wrapper crash.
+
+    Each filter in side classifies on a short-lived thread of its own
+    while this thread classifies the rest, so their wrapper processes run
+    at the same time. Every thread is joined before any exception other
+    than WrapperCrashed is raised.
+    """
+    outcomes: dict[str, object] = {}
+    threads = [
+        threading.Thread(target=_classify_into, args=(outcomes, f, m, log_path))
+        for f in side
+    ]
+    for t in threads:
+        t.start()
+    for f in filters:
+        if f not in side:
+            _classify_into(outcomes, f, m, log_path)
+    for t in threads:
+        t.join()
+    for f in filters:
+        name = f.binding.name
+        outcome = outcomes[name]
+        if isinstance(outcome, WrapperCrashed):
+            errors[name] += 1
+        elif isinstance(outcome, BaseException):
+            raise outcome
+        else:
+            counts[name].record(m.truth, outcome.label)
+
+
 def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     """Run one scenario end to end and write its reports.
 
@@ -337,7 +367,9 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     filters; phase 2 generates eval_steps, maintains the connection log,
     classifies every message with every filter in stream order, and
     accumulates confusion counts. Wrapper crashes are tallied per filter
-    and excluded from the counts.
+    and excluded from the counts. On each message every external filter
+    but the last runs on its own thread, so a lineup's wrapper processes
+    run side by side; each filter still sees one message at a time.
     """
     scenario.validate()
     filters = [
@@ -357,6 +389,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
 
     log_path = out / "connections.log"
     log_read = any(f.binding.needs_connection_log for f in filters)
+    side = [f for f in filters if f.binding.command is not None][:-1]
     counts = {f.binding.name: ConfusionCounts() for f in filters}
     errors = {f.binding.name: 0 for f in filters}
     try:
@@ -370,14 +403,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
                 log.write(entry.as_line() + "\n")
                 if log_read:
                     log.flush()
-                for f in filters:
-                    name = f.binding.name
-                    try:
-                        verdict = classify(f, m, str(log_path))
-                    except WrapperCrashed:
-                        errors[name] += 1
-                        continue
-                    counts[name].record(m.truth, verdict.label)
+                _classify_message(filters, side, m, str(log_path), counts, errors)
 
     ranked = rank([
         score(f.binding.name, f.binding.level, counts[f.binding.name],

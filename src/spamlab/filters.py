@@ -167,34 +167,64 @@ class ConstantFilterState:
         return Verdict(self.label, None)
 
 
+def split_command(where: str, key: str, text: str) -> list[str]:
+    """Split a command line into its argv; raise ConfigInvalid naming key
+    when the text has an unclosed quote or no words."""
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{where}: {key} = {text!r}: {exc}") from exc
+    if not argv:
+        raise ConfigInvalid(f"{where}: {key} is empty")
+    return argv
+
+
 class ExternalFilterState:
-    """Wrapper around an external classify command and optional trainer."""
+    """Wrapper around an external classify command and optional trainer.
+
+    Both commands are split once, when the filter is built, and a
+    server-level wrapper's environment is copied once per connection-log
+    path, so a classify call costs one process and no set-up.
+    """
 
     OPTIONS: dict[str, type] = {}
 
     def __init__(self, binding: FilterBinding):
         self.binding = binding
+        where = f"filter {binding.name}"
+        self.argv = split_command(where, f"external.{binding.name}", binding.command)
+        self.trainer_argv = None
+        if binding.trainer_command is not None:
+            self.trainer_argv = split_command(
+                where, f"trainer.{binding.name}", binding.trainer_command
+            )
+        self._envs: dict[str, dict[str, str]] = {}  # connection-log path -> env
 
     def train(self, ham, spam) -> None:
-        argv = shlex.split(self.binding.trainer_command) + [str(ham), str(spam)]
         try:
-            proc = subprocess.run(argv, capture_output=True)
+            proc = subprocess.run(
+                self.trainer_argv + [str(ham), str(spam)], capture_output=True
+            )
         except OSError as exc:
             raise TrainerFailed(f"{self.binding.name}: {exc}") from exc
         if proc.returncode != 0:
+            # end with the trainer's last stderr line: usually its reason
+            stderr = proc.stderr.decode("utf-8", errors="replace").splitlines()
+            why = next((f": {ln.strip()}" for ln in reversed(stderr) if ln.strip()), "")
             raise TrainerFailed(
-                f"{self.binding.name}: trainer exited {proc.returncode}"
+                f"{self.binding.name}: trainer exited {proc.returncode}{why}"
             )
 
     def classify(self, m: Message, context=None) -> Verdict:
-        argv = shlex.split(self.binding.command)
         env = None
         if self.binding.needs_connection_log:
-            env = os.environ.copy()
-            env[CONNLOG_ENV_VAR] = str(context)
+            env = self._envs.get(context)
+            if env is None:
+                env = self._envs[context] = os.environ.copy()
+                env[CONNLOG_ENV_VAR] = str(context)
         try:
             proc = subprocess.run(
-                argv,
+                self.argv,
                 input=render_message(m).encode("utf-8"),
                 capture_output=True,
                 env=env,

@@ -491,32 +491,37 @@ def _pilot_spam_fraction(config: SimConfig, multiplier: float, steps: int, seed:
     Mirrors the sender state machines of step() while counting deliveries
     only, so calibration pilots cost no message construction.
     """
-    rng = random.Random(seed)
-    n_subscribers = min(config.n_users, max(5, config.n_users // 10))
-    db_size = min(config.n_users, config.spammer_db_size)
+    draw = random.Random(seed).random
+    n_users, send_prob, burst_rate = config.n_users, config.send_prob, config.burst_rate
+    n_lists, n_spammers = config.n_mailing_lists, config.n_spammers
+    n_subscribers = min(n_users, max(5, n_users // 10))
+    db_size = min(n_users, config.spammer_db_size)
     activation = min(1.0, config.activation_prob * multiplier)
     p = 1.0 / max(config.recipients_mean, 1.0)
+    # _geometric(rng, p) inlined: the same draws, with log(1 - p) taken once
+    log, log_q = math.log, math.log(1.0 - p) if p < 1.0 else None
 
-    list_remaining = [0] * config.n_mailing_lists
-    spam_remaining = [0] * config.n_spammers
+    list_remaining = [0] * n_lists
+    spam_remaining = [0] * n_spammers
     ham = spam = 0
     for _ in range(steps):
-        for _user in range(config.n_users):
-            if rng.random() < config.send_prob:
-                ham += max(1, min(_geometric(rng, p), config.n_users - 1))
-        for j in range(config.n_mailing_lists):
+        for _user in range(n_users):
+            if draw() < send_prob:
+                n = 1 if log_q is None else int(log(1.0 - draw()) / log_q) + 1
+                ham += max(1, min(n, n_users - 1))
+        for j in range(n_lists):
             if list_remaining[j] == 0:
-                if rng.random() >= config.send_prob:
+                if draw() >= send_prob:
                     continue
                 list_remaining[j] = n_subscribers
             ham += 1
             list_remaining[j] -= 1
-        for k in range(config.n_spammers):
+        for k in range(n_spammers):
             if spam_remaining[k] == 0:
-                if rng.random() >= activation:
+                if draw() >= activation:
                     continue
                 spam_remaining[k] = db_size
-            sent = min(config.burst_rate, spam_remaining[k])
+            sent = min(burst_rate, spam_remaining[k])
             spam += sent
             spam_remaining[k] -= sent
     if ham + spam == 0:

@@ -4,6 +4,9 @@ from hypothesis import strategies as st
 
 from conftest import make_message
 from spamlab.corpus import (
+    _TOKEN_RE,
+    MAX_TOKEN_LEN,
+    MIN_TOKEN_LEN,
     load_corpus,
     parse_message,
     render_message,
@@ -142,6 +145,30 @@ class TestTokenize:
     def test_concatenation_after_separator(self, s):
         s = s + "."  # force a trailing separator
         assert tokenize(s + s) == tokenize(s) + tokenize(s)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(),
+                st.text(alphabet="aZ9_'$- .\n", max_size=12),
+                st.text(alphabet="éÉßǅİ٣ﬁ _", max_size=12),
+                st.integers(39, 43).map(lambda n: "Ab'-$" * (n // 5) + "x" * (n % 5)),
+            ),
+            max_size=6,
+        ).map(" ".join)
+    )
+    def test_matches_the_match_by_match_loop(self, s):
+        assert tokenize(s) == reference_tokenize(s)
+
+
+def reference_tokenize(text):
+    """tokenize as a loop over regex matches, one group() per token."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text.lower()):
+        token = match.group()
+        if MIN_TOKEN_LEN <= len(token) <= MAX_TOKEN_LEN:
+            tokens.append(token)
+    return tokens
 
 
 class TestMessageInvariants:

@@ -1,4 +1,5 @@
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from conftest import make_message
 from spamlab.bayes import train_bayes
 from spamlab.corpus import Label, parse_message, split_mbox, write_mbox
-from spamlab.errors import TrainerFailed, WrapperCrashed
+from spamlab import filters
+from spamlab.errors import ConfigInvalid, TrainerFailed, WrapperCrashed
 from spamlab.filters import (
+    CONNLOG_ENV_VAR,
     FilterBinding,
     Level,
     Verdict,
@@ -103,6 +106,44 @@ class TestWrapperProtocol:
         )
         with pytest.raises(ValueError):
             classify(f, make_message())
+
+    def test_commands_split_once_when_built(self, monkeypatch):
+        binding = external_binding(
+            "print('ham')", trainer_command=f"{shlex.quote(sys.executable)} -V"
+        )
+        f = build_filter(binding)
+        splits = []
+        split = filters.shlex.split
+        monkeypatch.setattr(
+            filters.shlex, "split", lambda *a, **kw: splits.append(a) or split(*a, **kw)
+        )
+        for _ in range(3):
+            assert classify(f, make_message()).label is Label.HAM
+        assert splits == []
+
+    def test_one_environment_per_connection_log(self, monkeypatch):
+        f = build_filter(
+            external_binding("", level=Level.SERVER, needs_connection_log=True)
+        )
+        envs = []
+
+        def fake_run(argv, env=None, **kw):
+            envs.append(env)
+            return subprocess.CompletedProcess(argv, 0, b"ham\n", b"")
+
+        monkeypatch.setattr(filters.subprocess, "run", fake_run)
+        for _ in range(3):
+            classify(f, make_message(), context="a.log")
+        classify(f, make_message(), context="b.log")
+        assert [env[CONNLOG_ENV_VAR] for env in envs] == ["a.log"] * 3 + ["b.log"]
+        assert envs[0] is envs[1] is envs[2]
+        assert envs[3] is not envs[0]
+
+    @pytest.mark.parametrize("command", ["", "  ", "'abc"])
+    def test_unsplittable_command_rejected_when_built(self, command):
+        binding = FilterBinding(name="x", level=Level.USER, command=command)
+        with pytest.raises(ConfigInvalid, match="external.x"):
+            build_filter(binding)
 
     def test_classify_does_not_mutate_message(self):
         f = build_filter(external_binding("print('ham')"))
@@ -264,8 +305,23 @@ class TestTrain:
             name="bad", level=Level.USER, command=binding.command,
             trainer_command=f"{shlex.quote(sys.executable)} -c 'raise SystemExit(3)'",
         )
-        with pytest.raises(TrainerFailed):
+        with pytest.raises(TrainerFailed, match=r"^bad: trainer exited 3$"):
             train(build_filter(failing), ham, spam)
+
+        # the message ends with the last non-empty line the trainer printed
+        # on stderr
+        explained = FilterBinding(
+            name="bad", level=Level.USER, command=binding.command,
+            trainer_command=f"{shlex.quote(sys.executable)} -c " + shlex.quote(
+                "import sys\n"
+                "sys.stderr.write('reading ham\\nno state dir\\n\\n')\n"
+                "raise SystemExit(3)\n"
+            ),
+        )
+        with pytest.raises(
+            TrainerFailed, match=r"^bad: trainer exited 3: no state dir$"
+        ):
+            train(build_filter(explained), ham, spam)
 
 
 class TestBuiltinRegistry:

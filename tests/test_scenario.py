@@ -1,11 +1,13 @@
 import shlex
 import sys
+import threading
 
 import pytest
 
+from conftest import build_scenario_files
 from spamlab.errors import ConfigInvalid
 from spamlab.evalcli import load_scenario, main, rank, run_scenario
-from spamlab.filters import Level, build_filter
+from spamlab.filters import ExternalFilterState, Level, build_filter
 
 
 def run(scenario_path, out):
@@ -171,6 +173,130 @@ class TestRunScenario:
         csv_a = (tmp_path / "a" / "results.csv").read_bytes()
         csv_b = (tmp_path / "b" / "results.csv").read_bytes()
         assert csv_a == csv_b
+
+
+def sh(script):
+    return f"sh -c {shlex.quote(script)}"
+
+
+# a user-level keyword wrapper, and a server-level one that answers from the
+# length of the connection log and exits 1 unless the log's last line is
+# the message's own connection, flushed before the wrapper started
+KEYWORD = sh("if grep -q spamword; then echo spam; else echo ham; fi")
+LOG_PARITY = sh(
+    "from=$(sed -n 's/^From: //p' | head -n 1);"
+    ' case "$(tail -n 1 "$SPAMLAB_CONNLOG")" in *"\t$from\t"*) ;; *) exit 1 ;; esac;'
+    ' n=$(wc -l < "$SPAMLAB_CONNLOG");'
+    " if [ $((n % 3)) -eq 0 ]; then echo spam; else echo ham; fi"
+)
+
+
+class TestSideBySideWrappers:
+    def run_lineup(self, root, lineup, commands, eval_steps=6):
+        path = build_scenario_files(
+            root,
+            scenario_overrides={
+                "filters": lineup, "training_steps": 0, "eval_steps": eval_steps,
+            },
+        )
+        with open(path, "a") as fh:
+            for name, command in commands.items():
+                fh.write(f"external.{name} = {command}\n")
+                if name == "log":
+                    fh.write("connlog.log = true\n")
+        _, results = run(path, root / "out")
+        return {r.name: r for r in results}, root / "out"
+
+    def rows(self, out):
+        lines = (out / "results.csv").read_text().splitlines()
+        return {line.split(",")[0]: line for line in lines[1:]}
+
+    def test_same_results_as_each_wrapper_alone(self, tmp_path):
+        both = {"kw": KEYWORD, "log": LOG_PARITY}
+        results, together = self.run_lineup(
+            tmp_path / "together", "log S; kw U; pass-all U", both
+        )
+        for name in both:  # each wrapper answered both labels, with no crash
+            assert results[name].wrapper_errors == 0
+            counts = results[name].counts
+            assert counts.ss + counts.hs > 0 and counts.sh + counts.hh > 0
+        rows = self.rows(together)
+        for name, lineup in (("kw", "kw U"), ("log", "log S")):
+            _, alone = self.run_lineup(
+                tmp_path / name, lineup, {name: both[name]}
+            )
+            assert rows[name] == self.rows(alone)[name]
+            assert (alone / "connections.log").read_bytes() == (
+                together / "connections.log"
+            ).read_bytes()
+
+    def test_more_wrappers_than_cores_with_fast_thread_switching(self, tmp_path):
+        names = ["kw1", "kw2", "kw3", "kw4"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results, _ = self.run_lineup(
+                tmp_path / "many", "; ".join(f"{n} U" for n in names),
+                dict.fromkeys(names, KEYWORD),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        alone, _ = self.run_lineup(tmp_path / "alone", "kw U", {"kw": KEYWORD})
+        for name in names:
+            assert results[name].wrapper_errors == 0
+            assert results[name].counts == alone["kw"].counts
+
+    def test_wrappers_of_one_message_run_at_the_same_time(self, tmp_path):
+        # each wrapper touches its own file, then waits up to 2 s for the
+        # other's; run one after another, the first one gives up and fails
+        def meet(mine, other):
+            mine, other = (shlex.quote(str(tmp_path / f)) for f in (mine, other))
+            return sh(
+                f"touch {mine}; i=0;"
+                f" while [ ! -e {other} ] && [ $i -lt 20 ];"
+                " do sleep 0.1; i=$((i + 1)); done;"
+                f" cat > /dev/null; [ -e {other} ] && echo ham"
+            )
+
+        results, _ = self.run_lineup(
+            tmp_path, "a U; b U; pass-all U",
+            {"a": meet("a.here", "b.here"), "b": meet("b.here", "a.here")},
+            eval_steps=1,
+        )
+        assert results["pass-all"].counts.n_ham > 0
+        for name in ("a", "b"):
+            assert results[name].wrapper_errors == 0
+            assert results[name].counts == results["pass-all"].counts
+
+    def test_side_wrapper_crash_is_tallied(self, tmp_path):
+        results, _ = self.run_lineup(
+            tmp_path / "crash", "broken U; kw U; pass-all U",
+            {"broken": sh("cat > /dev/null; exit 1"), "kw": KEYWORD},
+        )
+        alone, _ = self.run_lineup(tmp_path / "alone", "kw U; pass-all U", {"kw": KEYWORD})
+        evaluated = alone["pass-all"].counts
+        assert results["broken"].wrapper_errors == evaluated.n_spam + evaluated.n_ham
+        assert results["broken"].counts.n_spam == results["broken"].counts.n_ham == 0
+        for name in ("kw", "pass-all"):
+            assert results[name].counts == alone[name].counts
+            assert results[name].wrapper_errors == 0
+
+    def test_side_exception_stops_the_run_after_the_join(self, tmp_path, monkeypatch):
+        original = ExternalFilterState.classify
+
+        def classify(self, m, context=None):
+            if self.binding.name == "first":
+                raise RuntimeError("side filter broke")
+            return original(self, m, context)
+
+        monkeypatch.setattr(ExternalFilterState, "classify", classify)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="side filter broke"):
+            self.run_lineup(
+                tmp_path, "first U; kw U; pass-all U",
+                {"first": KEYWORD, "kw": KEYWORD},
+            )
+        assert set(threading.enumerate()) == before
 
 
 class TestCli:
