@@ -6,7 +6,8 @@ Bayes rule into a spam posterior that is compared against a threshold.
 
 Every function that tokenizes takes an optional token lookup (text ->
 tokens), plain tokenize by default. A filter that sees the same texts
-again and again passes a TokenMemo instead, so each text is tokenized once.
+again and again passes a TokenMemo instead, which keeps the tokens of
+every text it is asked for twice.
 """
 
 from __future__ import annotations
@@ -31,16 +32,31 @@ P_NEUTRAL = 0.5
 
 
 class TokenMemo(dict):
-    """Token lookup that tokenizes each distinct text once.
+    """Token lookup that keeps the tokens of the texts that recur.
 
-    Maps text -> tuple of interned tokens, filled on first lookup; call it
-    like tokenize. It holds every text it has seen, so give each filter
-    its own and let it go with the filter. Interning keeps one copy of
-    each word across all the texts held.
+    Call it like tokenize; it returns a tuple of interned tokens. The first
+    lookup of a text tokenizes it and records only hash(text); the second
+    tokenizes it again and stores text -> tokens, and later lookups return
+    the stored tuple. A text seen once, like most personalized spam, is
+    never held, so memory follows the recurring texts rather than all
+    traffic. A hash collision can only store a text at its first lookup:
+    the dict is keyed by the text itself, so it never returns another
+    text's tokens. Give each filter its own memo and let it go with the
+    filter. Interning keeps one copy of each word across all the texts
+    held.
     """
 
+    def __init__(self):
+        super().__init__()
+        self.seen: set[int] = set()  # hash(text) of every text looked up
+
     def __missing__(self, text: str) -> tuple[str, ...]:
-        tokens = self[text] = tuple(map(sys.intern, tokenize(text)))
+        tokens = tuple(map(sys.intern, tokenize(text)))
+        key = hash(text)
+        if key in self.seen:
+            self[text] = tokens
+        else:
+            self.seen.add(key)
         return tokens
 
     __call__ = dict.__getitem__
@@ -157,7 +173,9 @@ def _read_mbox(path: str | Path):
     """Parse the messages of an mbox file, one at a time.
 
     A generator: the file is read at the first next(), so train_bayes
-    never holds the ham and the spam mbox in memory together.
+    never holds the ham and the spam mbox in memory together, and
+    split_mbox cuts out one message text at a time, so beside the file's
+    text only the message being counted is held.
     """
     text = Path(path).read_bytes().decode("utf-8", errors="replace")
     for entry in split_mbox(text):

@@ -8,6 +8,7 @@ RFC822-style wire format, so identical inputs always yield identical bytes.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -164,54 +165,61 @@ def parse_message(text: str) -> ParsedMessage:
     )
 
 
-_QUOTED_FROM_RE = re.compile(r">+From ")
-_QUOTABLE_FROM_RE = re.compile(r">*From ")
+_QUOTED_FROM_RE = re.compile(r"^>(>*From )", re.M)
+_QUOTABLE_FROM_RE = re.compile(r"^(>*From )", re.M)
 _HEADER_LINE_RE = re.compile(r"^[!-9;-~]+: ?")
 
 
-def split_mbox(text: str) -> list[str]:
-    """Split mbox text into message texts.
+def split_mbox(text: str) -> Iterator[str]:
+    """Yield the message texts of mbox text, one at a time.
 
     Messages are separated by lines beginning "From "; the separator lines
     themselves are dropped. ">From"-style quoting applied by write_mbox is
-    undone, and the single newline appended after each message is stripped.
-    Content before the first separator is ignored.
+    undone, and one trailing newline is stripped from each message text:
+    after the last message, the one write_mbox appends. Before a separator
+    that newline goes with the separator, so there a message's own last
+    newline is stripped instead. Content before the first separator is
+    ignored. A generator: it cuts out one message text at a time, so a
+    caller that parses as it goes holds one message beside the input.
     """
-    entries: list[str] = []
-    current: list[str] | None = None
-    for line in text.split("\n"):
-        if line.startswith("From "):
-            if current is not None:
-                entries.append(_finish_entry(current))
-            current = []
-        elif current is not None:
-            if _QUOTED_FROM_RE.match(line):
-                line = line[1:]
-            current.append(line)
-    if current is not None:
-        entries.append(_finish_entry(current))
-    return entries
-
-
-def _finish_entry(lines: list[str]) -> str:
-    text = "\n".join(lines)
-    return text[:-1] if text.endswith("\n") else text
+    if text.startswith("From "):
+        start = 0
+    else:
+        start = text.find("\nFrom ") + 1
+        if not start:
+            return
+    while True:
+        eol = text.find("\n", start)
+        if eol < 0:  # a last separator line with no newline
+            yield ""
+            return
+        end = text.find("\nFrom ", eol)
+        entry = text[eol + 1 : end] if end >= 0 else text[eol + 1 :]
+        if entry.endswith("\n"):
+            entry = entry[:-1]
+        # The substitution visits every line start; most entries hold no
+        # quoted line at all, and a substring test skips them.
+        yield _QUOTED_FROM_RE.sub(r"\1", entry) if ">From " in entry else entry
+        if end < 0:
+            return
+        start = end + 1
 
 
 def write_mbox(path, messages, render=render_message) -> None:
     """Write messages to an mbox file with "From " separator lines.
 
-    Body lines that would collide with the separator are quoted with a
-    leading '>' so split_mbox round-trips the text exactly.
+    Lines that would collide with the separator ("From ", ">From ", ...)
+    are quoted with a leading '>' so split_mbox gives each rendered text
+    back; one that ends in a newline comes back a newline short unless it
+    is the last.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for m in messages:
             fh.write(f"From {m.from_addr} {m.step}\n")
-            quoted = "\n".join(
-                ">" + line if _QUOTABLE_FROM_RE.match(line) else line
-                for line in render(m).split("\n")
-            )
-            fh.write(quoted + "\n")
+            text = render(m)
+            if "From " in text:  # as in split_mbox: most texts need no quoting
+                text = _QUOTABLE_FROM_RE.sub(r">\1", text)
+            fh.write(text + "\n")
 
 
 def load_corpus(path, topic: str) -> Corpus:

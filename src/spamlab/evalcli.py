@@ -386,6 +386,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
         for (m, _e) in step(world, rng)
     ]
     _train_filters(filters, training_stream, out)
+    del training_stream  # evaluation holds no training message
 
     log_path = out / "connections.log"
     log_read = any(f.binding.needs_connection_log for f in filters)

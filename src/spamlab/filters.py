@@ -65,8 +65,8 @@ class BayesFilterState:
     A mailbox gets its own model only once it has seen at least
     min_user_messages of each class in training; thinner mailboxes stay on
     the general model, whose vocabulary coverage is far better. All models
-    and classification share one TokenMemo, so the filter tokenizes each
-    distinct text once in its run.
+    and classification share one TokenMemo, so the filter tokenizes a text
+    at most twice in its run, however many models read it.
     """
 
     OPTIONS = {"n": int, "threshold": float, "min_user_messages": int}

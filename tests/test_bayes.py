@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -273,10 +274,24 @@ class TestTokenMemo:
     def test_memo_tokenizes_once_and_interns(self):
         memo = TokenMemo()
         first = memo("Buy NOW buy")
-        assert first == tuple(tokenize("Buy NOW buy"))
-        assert memo("Buy NOW buy") is first and len(memo) == 1
-        assert first[0] is first[2]
+        assert first == tuple(tokenize("Buy NOW buy")) and len(memo) == 0
+        assert first[0] is first[2] is sys.intern("buy")
+        second = memo("Buy NOW buy")
+        assert second == first and len(memo) == 1
+        assert second[0] is first[0]
+        assert memo("Buy NOW buy") is second and len(memo) == 1
         assert memo("") == ()
+
+    def test_hash_collision_stores_early_never_wrong(self):
+        class Colliding(str):
+            def __hash__(self):
+                return 7
+
+        memo = TokenMemo()
+        a, b = Colliding("alpha words"), Colliding("beta words")
+        assert memo(a) == ("alpha", "words") and len(memo) == 0
+        assert memo(b) == ("beta", "words") and list(memo) == [b]
+        assert memo(a) == ("alpha", "words") and memo(b) == ("beta", "words")
 
     def test_general_model_and_verdicts_match_plain_path(self):
         train_stream = seeded_stream(1, 300)
@@ -331,21 +346,53 @@ class TestTokenizeOncePerRun:
     def test_each_text_tokenized_once(
         self, tmp_path, scenario_builder, monkeypatch
     ):
+        """A text is tokenized at its first and second lookup only, and
+        the memo ends up holding exactly the texts looked up twice or
+        more."""
         path = scenario_builder(tmp_path, scenario_overrides={"filters": "bayes U"})
-        texts = []
+        tokenized, looked_up, memos = Counter(), Counter(), []
 
         def counting_tokenize(text):
-            texts.append(text)
+            tokenized[text] += 1
             return tokenize(text)
 
+        class CountingMemo(TokenMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+            def __call__(self, text):
+                looked_up[text] += 1
+                return self[text]
+
         monkeypatch.setattr(bayes, "tokenize", counting_tokenize)
+        monkeypatch.setattr(bayes, "TokenMemo", CountingMemo)
         results = run_scenario(load_scenario(path), tmp_path / "out")
         assert results[0].counts.n_spam and results[0].counts.n_ham
-        assert texts and len(texts) == len(set(texts))
+        assert len(memos) == 1 and max(looked_up.values()) > 2
+        assert tokenized == Counter({t: min(n, 2) for t, n in looked_up.items()})
+        assert set(memos[0]) == {t for t, n in looked_up.items() if n >= 2}
+
+    def test_memo_gives_the_results_of_plain_tokenize(
+        self, tmp_path, scenario_builder, monkeypatch
+    ):
+        """Server-level Bayes on personalized random-word spam, where most
+        texts are seen once: the memo changes no result."""
+        path = scenario_builder(tmp_path, scenario_overrides={
+            "filters": "bayes S", "level": "S", "personalized": "true",
+            "random_words": "true",
+        })
+        run_scenario(load_scenario(path), tmp_path / "memo")
+        monkeypatch.setattr(bayes, "TokenMemo", lambda: tokenize)
+        run_scenario(load_scenario(path), tmp_path / "plain")
+        memo_csv = (tmp_path / "memo" / "results.csv").read_bytes()
+        assert memo_csv == (tmp_path / "plain" / "results.csv").read_bytes()
+        assert b"bayes" in memo_csv
 
     def test_filters_do_not_share_a_memo(self):
         binding = FilterBinding(name="bayes", level=Level.USER, builtin="bayes")
         a, b = build_filter(binding), build_filter(binding)
         assert a.tokens is not b.tokens
+        a.tokens("some words")
         a.tokens("some words")
         assert len(a.tokens) == 1 and len(b.tokens) == 0

@@ -1,5 +1,10 @@
+import re
+import tempfile
+import types
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_message
@@ -33,6 +38,15 @@ TWO_MESSAGE_MBOX = (
     "\n"
     "body two\n"
 )
+
+
+# mbox-like text from the pieces the splitter and the quoting act on
+MBOX_TEXT = st.lists(
+    st.sampled_from(
+        ["From ", ">From ", ">>From ", "From x\n", "\n", "\r\n", "a", "Zq"]
+    ),
+    max_size=16,
+).map("".join)
 
 
 class TestLoadCorpus:
@@ -112,10 +126,45 @@ class TestMbox:
         m = make_message(body=tricky)
         path = tmp_path / "t.mbox"
         write_mbox(path, [m, m])
-        entries = split_mbox(path.read_text())
+        entries = list(split_mbox(path.read_text()))
         assert len(entries) == 2
         for entry in entries:
             assert parse_message(entry).body == tricky
+
+    def test_split_is_a_generator(self):
+        assert isinstance(split_mbox(TWO_MESSAGE_MBOX), types.GeneratorType)
+
+    @given(MBOX_TEXT)
+    @example("no separator\nat all\n")
+    @example("before the first\nFrom x\nbody\n")
+    @example("From x\nbody\nFrom last")  # yields ""
+    @example("From a\nFrom b\n\nFrom c\nbody")
+    @example("From a\nbody\n\n\n")
+    @example("From a\r\n>From b\n>>From c\nFrom d\n")
+    def test_split_matches_the_line_loop(self, text):
+        assert list(split_mbox(text)) == reference_split_mbox(text)
+
+    @given(st.lists(MBOX_TEXT, max_size=4))
+    @example(["From the start\n>From quoted\n>>From twice\nFrom x\n", ""])
+    def test_write_matches_the_line_loop(self, bodies):
+        messages = [make_message(body=b, step=i) for i, b in enumerate(bodies)]
+        assert mbox_bytes(messages) == reference_write_mbox(messages).encode("utf-8")
+
+    @given(st.lists(MBOX_TEXT.map(lambda b: b + "."), max_size=4))
+    def test_write_then_split_round_trips(self, bodies):
+        # Bodies end in "." here: split_mbox drops the last newline of
+        # every message but the last, so "...\n" would come back short.
+        messages = [make_message(body=b, step=i) for i, b in enumerate(bodies)]
+        entries = list(split_mbox(mbox_bytes(messages).decode("utf-8")))
+        assert entries == [render_message(m) for m in messages]
+        assert [parse_message(e).body for e in entries] == bodies
+
+
+def mbox_bytes(messages):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.mbox"
+        write_mbox(path, messages)
+        return path.read_bytes()
 
 
 class TestTokenize:
@@ -169,6 +218,41 @@ def reference_tokenize(text):
         if MIN_TOKEN_LEN <= len(token) <= MAX_TOKEN_LEN:
             tokens.append(token)
     return tokens
+
+
+def reference_split_mbox(text):
+    """split_mbox as a loop over the lines of the whole text."""
+    entries = []
+    current = None
+    for line in text.split("\n"):
+        if line.startswith("From "):
+            if current is not None:
+                entries.append(_finish_entry(current))
+            current = []
+        elif current is not None:
+            if re.match(r">+From ", line):
+                line = line[1:]
+            current.append(line)
+    if current is not None:
+        entries.append(_finish_entry(current))
+    return entries
+
+
+def _finish_entry(lines):
+    text = "\n".join(lines)
+    return text[:-1] if text.endswith("\n") else text
+
+
+def reference_write_mbox(messages):
+    """The text write_mbox writes, quoting line by line."""
+    out = []
+    for m in messages:
+        out.append(f"From {m.from_addr} {m.step}\n")
+        out.append("\n".join(
+            ">" + line if re.match(r">*From ", line) else line
+            for line in render_message(m).split("\n")
+        ) + "\n")
+    return "".join(out)
 
 
 class TestMessageInvariants:

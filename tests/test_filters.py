@@ -168,7 +168,7 @@ class TestEmitTrainingSets:
         return ham + spam
 
     def entries(self, path):
-        return split_mbox(path.read_text(encoding="utf-8"))
+        return list(split_mbox(path.read_text(encoding="utf-8")))
 
     def test_general_partition_by_truth(self, tmp_path):
         ham_paths, spam_paths = emit_training_sets(self.stream(), tmp_path)

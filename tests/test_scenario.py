@@ -1,13 +1,17 @@
+import gc
 import shlex
 import sys
 import threading
+import weakref
 
 import pytest
 
 from conftest import build_scenario_files
+from spamlab import evalcli
 from spamlab.errors import ConfigInvalid
 from spamlab.evalcli import load_scenario, main, rank, run_scenario
-from spamlab.filters import ExternalFilterState, Level, build_filter
+from spamlab.filters import ExternalFilterState, Level, build_filter, classify
+from spamlab.trafficgen import step
 
 
 def run(scenario_path, out):
@@ -173,6 +177,31 @@ class TestRunScenario:
         csv_a = (tmp_path / "a" / "results.csv").read_bytes()
         csv_b = (tmp_path / "b" / "results.csv").read_bytes()
         assert csv_a == csv_b
+
+    def test_training_messages_released_before_evaluation(
+        self, tmp_path, scenario_builder, monkeypatch
+    ):
+        path = scenario_builder(tmp_path, scenario_overrides={"filters": "bayes U"})
+        scenario = load_scenario(path)
+        training, alive, steps = [], [], [0]
+
+        def recording_step(world, rng):
+            batch = step(world, rng)
+            steps[0] += 1
+            if steps[0] <= scenario.training_steps:
+                training.extend(weakref.ref(m) for m, _ in batch)
+            return batch
+
+        def checking_classify(f, m, log_path):
+            if not alive:
+                gc.collect()
+                alive.append([r for r in training if r() is not None])
+            return classify(f, m, log_path)
+
+        monkeypatch.setattr(evalcli, "step", recording_step)
+        monkeypatch.setattr(evalcli, "classify", checking_classify)
+        run_scenario(scenario, tmp_path / "out")
+        assert training and alive == [[]]
 
 
 def sh(script):
