@@ -7,7 +7,8 @@ Bayes rule into a spam posterior that is compared against a threshold.
 Every function that tokenizes takes an optional token lookup (text ->
 tokens), plain tokenize by default. A filter that sees the same texts
 again and again passes a TokenMemo instead, which keeps the tokens of
-every text it is asked for twice.
+every text it is asked for twice, and classifies with classify_memoised,
+which keeps each model's verdict on every text it is asked for twice.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Label, Verdict, parse_message, split_mbox, tokenize
 from .errors import EmptyTrainingSet
+from .memo import Memo
 
 DEFAULT_N_INTERESTING = 15
 DEFAULT_THRESHOLD = 0.9
@@ -31,35 +34,32 @@ P_MAX = 0.99
 P_NEUTRAL = 0.5
 
 
-class TokenMemo(dict):
+def _interned_tokens(text: str) -> tuple[str, ...]:
+    # tokenize is looked up here at each call, so a patch on bayes.tokenize
+    # sees every tokenization
+    return tuple(map(sys.intern, tokenize(text)))
+
+
+class TokenMemo(Memo):
     """Token lookup that keeps the tokens of the texts that recur.
 
-    Call it like tokenize; it returns a tuple of interned tokens. The first
-    lookup of a text tokenizes it and records only hash(text); the second
-    tokenizes it again and stores text -> tokens, and later lookups return
-    the stored tuple. A text seen once, like most personalized spam, is
-    never held, so memory follows the recurring texts rather than all
-    traffic. A hash collision can only store a text at its first lookup:
-    the dict is keyed by the text itself, so it never returns another
-    text's tokens. Give each filter its own memo and let it go with the
-    filter. Interning keeps one copy of each word across all the texts
-    held.
+    Call it like tokenize; it returns a tuple of interned tokens. It is a
+    Memo: a text is tokenized at its first and second lookup, stored from
+    the second, and later lookups return the stored tuple, so a text seen
+    once, like most personalized spam, is never held. Give each filter
+    its own memo and let it go with the filter. Interning keeps one copy
+    of each word across all the texts held.
     """
 
     def __init__(self):
-        super().__init__()
-        self.seen: set[int] = set()  # hash(text) of every text looked up
+        super().__init__(_interned_tokens)
 
-    def __missing__(self, text: str) -> tuple[str, ...]:
-        tokens = tuple(map(sys.intern, tokenize(text)))
-        key = hash(text)
-        if key in self.seen:
-            self[text] = tokens
-        else:
-            self.seen.add(key)
-        return tokens
 
-    __call__ = dict.__getitem__
+class Text(NamedTuple):
+    """The message fields Bayes reads; the key of a model's verdict memo."""
+
+    subject: str
+    body: str
 
 
 @dataclass
@@ -67,9 +67,10 @@ class BayesModel:
     """Word occurrence counts and classification parameters.
 
     The counts must not change after training: word_spaminess fills the
-    spaminess table (word -> p) as classification asks for words, and a
-    changed count would leave its entries stale. The table is left out of
-    repr and ==, and dataclasses.replace gives the copy an empty one.
+    spaminess table (word -> p) as classification asks for words, and
+    classify_memoised keeps verdicts in the verdict memo, so a changed
+    count would leave their entries stale. The table and the memo are left
+    out of repr and ==, and dataclasses.replace gives the copy empty ones.
     """
 
     spam_count: Counter = field(default_factory=Counter)
@@ -82,6 +83,25 @@ class BayesModel:
     spaminess: dict[str, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Text -> Verdict, made at the first classify_memoised call
+    verdicts: Memo | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+
+def _add_spaminess(model: BayesModel, words) -> None:
+    """Enter the spaminess of each of words, none of them in the table
+    yet, into model.spaminess (see word_spaminess)."""
+    table = model.spaminess
+    spam_count, ham_count = model.spam_count, model.ham_count
+    n_spam, n_ham = model.n_spam_msgs, model.n_ham_msgs
+    for word in words:
+        s = spam_count.get(word, 0) / n_spam
+        h = ham_count.get(word, 0) / n_ham
+        if s == 0.0 and h == 0.0:
+            table[word] = P_NEUTRAL
+        else:
+            table[word] = min(P_MAX, max(P_MIN, s / (s + h)))
 
 
 def word_spaminess(model: BayesModel, word: str) -> float:
@@ -93,13 +113,8 @@ def word_spaminess(model: BayesModel, word: str) -> float:
     """
     p = model.spaminess.get(word)
     if p is None:
-        s = model.spam_count.get(word, 0) / model.n_spam_msgs
-        h = model.ham_count.get(word, 0) / model.n_ham_msgs
-        if s == 0.0 and h == 0.0:
-            p = P_NEUTRAL
-        else:
-            p = min(P_MAX, max(P_MIN, s / (s + h)))
-        model.spaminess[word] = p
+        _add_spaminess(model, (word,))
+        p = model.spaminess[word]
     return p
 
 
@@ -113,9 +128,12 @@ def interesting_words(model: BayesModel, m, tokens=None) -> list[str]:
     if tokens is None:
         tokens = tokenize
     distinct = set(tokens(m.subject)).union(tokens(m.body))
-    ranked = sorted(
-        distinct, key=lambda w: (-abs(word_spaminess(model, w) - 0.5), w)
-    )
+    table = model.spaminess
+    _add_spaminess(model, distinct.difference(table))
+    distance = {w: abs(table[w] - 0.5) for w in distinct}
+    # sorted is stable, also in reverse: words at one distance keep the
+    # lexicographic order of the inner sort
+    ranked = sorted(sorted(distinct), key=distance.__getitem__, reverse=True)
     return ranked[: model.n_interesting]
 
 
@@ -140,20 +158,40 @@ def combine_spam_probability(probs, prior_spam: float) -> float:
 def posterior_spam(model: BayesModel, words) -> float:
     """Spam posterior for a word list under the trained model."""
     return combine_spam_probability(
-        (word_spaminess(model, w) for w in words), model.prior_spam
+        [word_spaminess(model, w) for w in words], model.prior_spam
     )
 
 
 def bayes_classify(model: BayesModel, m, tokens=None) -> Verdict:
     """Classify a message: SPAM iff the posterior strictly exceeds the
     threshold. Messages yielding zero tokens are HAM with the prior as
-    score. tokens is the token lookup (default tokenize)."""
+    score. Only m.subject and m.body are read. tokens is the token lookup
+    (default tokenize)."""
     words = interesting_words(model, m, tokens)
     if not words:
         return Verdict(Label.HAM, model.prior_spam)
     p = posterior_spam(model, words)
     label = Label.SPAM if p > model.threshold else Label.HAM
     return Verdict(label, p)
+
+
+def classify_memoised(model: BayesModel, m, tokens) -> Verdict:
+    """bayes_classify(model, m, tokens), memoised per model.
+
+    model.verdicts is a Memo keyed by Text(m.subject, m.body): a text's
+    verdict is computed at its first and second lookup and stored from the
+    second. The memo classifies with the token lookup of the first call;
+    a token lookup decides how tokens are found, never which, so the
+    verdicts are those of plain bayes_classify.
+    """
+    verdicts = model.verdicts
+    if verdicts is None:
+        # bayes_classify is looked up at each call, so a patch on
+        # bayes.bayes_classify sees every verdict computed
+        verdicts = model.verdicts = Memo(
+            lambda text: bayes_classify(model, text, tokens)
+        )
+    return verdicts(Text(m.subject, m.body))
 
 
 def train_bayes(

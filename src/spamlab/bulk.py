@@ -99,14 +99,19 @@ class ChecksumDB:
     bulk_threshold: int = DEFAULT_BULK_THRESHOLD
 
 
-def checksum_classify(db: ChecksumDB, m: Message, fuzzy: bool) -> Verdict:
+def checksum_classify(
+    db: ChecksumDB, m: Message, fuzzy: bool, digests=None
+) -> Verdict:
     """Classify by digest observation count, then report the digest.
 
     SPAM iff the digest of m.body has already been seen bulk_threshold or
     more times. The count is compared before the increment, so a body's
-    first observations pass.
+    first observations pass. digests is the digest lookup (body ->
+    body_checksum(body, fuzzy)), plain body_checksum by default; a filter
+    passes a Memo that keeps the digests of recurring bodies. The count
+    and the threshold test run on every message either way.
     """
-    digest = body_checksum(m.body, fuzzy)
+    digest = body_checksum(m.body, fuzzy) if digests is None else digests(m.body)
     seen = db.counts.get(digest, 0)
     label = Label.SPAM if seen >= db.bulk_threshold else Label.HAM
     db.counts[digest] = seen + 1

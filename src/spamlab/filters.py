@@ -20,6 +20,7 @@ from pathlib import Path
 from . import bayes, bulk
 from .corpus import Label, Message, Verdict, render_message, write_mbox
 from .errors import ConfigInvalid, IoFailure, TrainerFailed, WrapperCrashed
+from .memo import Memo
 from .trafficgen import parse_value
 
 CONNLOG_ENV_VAR = "SPAMLAB_CONNLOG"
@@ -66,7 +67,9 @@ class BayesFilterState:
     min_user_messages of each class in training; thinner mailboxes stay on
     the general model, whose vocabulary coverage is far better. All models
     and classification share one TokenMemo, so the filter tokenizes a text
-    at most twice in its run, however many models read it.
+    at most twice in its run, however many models read it, and each model
+    keeps the verdicts of the texts it classifies twice or more
+    (bayes.classify_memoised).
     """
 
     OPTIONS = {"n": int, "threshold": float, "min_user_messages": int}
@@ -112,7 +115,7 @@ class BayesFilterState:
             model = self.user_models.get(m.recipients[0], model)
         if model is None:
             raise TrainerFailed(f"{self.binding.name}: classify before train")
-        return bayes.bayes_classify(model, m, self.tokens)
+        return bayes.classify_memoised(model, m, self.tokens)
 
 
 class VolumeFilterState:
@@ -139,7 +142,11 @@ class VolumeFilterState:
 
 
 class ChecksumFilterState:
-    """Builtin checksum clearinghouse filter with a local database."""
+    """Builtin checksum clearinghouse filter with a local database.
+
+    Each filter keeps the digests of the bodies it sees twice or more in a
+    Memo (body -> digest), so a recurring body is hashed twice in its run.
+    """
 
     OPTIONS = {"threshold": int}
 
@@ -149,9 +156,12 @@ class ChecksumFilterState:
         self.binding = binding
         self.fuzzy = fuzzy
         self.db = bulk.ChecksumDB(bulk_threshold=threshold)
+        # bulk.body_checksum is looked up at each call, so a patch on it
+        # sees every digest computed
+        self.digests = Memo(lambda body: bulk.body_checksum(body, fuzzy))
 
     def classify(self, m: Message, context=None) -> Verdict:
-        return bulk.checksum_classify(self.db, m, self.fuzzy)
+        return bulk.checksum_classify(self.db, m, self.fuzzy, self.digests)
 
 
 class ConstantFilterState:

@@ -59,6 +59,9 @@ class SimConfig:
     spammer_db_size: int = 20
 
     def validate(self) -> None:
+        for name, kind in get_type_hints(SimConfig).items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be finite")
         if self.sigma <= 0:
             raise ConfigInvalid("sigma must be > 0")
         if self.n_users < 2:
@@ -97,14 +100,18 @@ _BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
 def parse_value(where, key: str, text: str, kind: type):
     """Convert one config value to kind (int, float or bool).
 
-    Bools are spelled 1/true/yes/on or 0/false/no/off, in any case.
-    Raises ConfigInvalid naming where and key when text does not convert.
+    Bools are spelled 1/true/yes/on or 0/false/no/off, in any case, and
+    floats must be finite (no nan or inf). Raises ConfigInvalid naming
+    where and key when text does not convert.
     """
     try:
-        return _BOOL_TEXT[text.strip().lower()] if kind is bool else kind(text)
+        value = _BOOL_TEXT[text.strip().lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         expected = "/".join(_BOOL_TEXT) if kind is bool else f"a valid {kind.__name__}"
         raise ConfigInvalid(f"{where}: {key} = {text!r} is not {expected}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigInvalid(f"{where}: {key} = {text!r} is not a finite float")
+    return value
 
 
 def load_sim_config(path) -> SimConfig:
@@ -219,26 +226,42 @@ def personalize(body: str, recipient: str) -> str:
     return f"Dear {login},\n{body}"
 
 
-def add_bogus_received(m: Message, count: int, rng) -> Message:
-    """Prepend count forged Received: entries before the real ones."""
-    if count == 0:
-        return m
-    forged = tuple(
+def _forged_received(count: int, rng) -> tuple[str, ...]:
+    return tuple(
         f"from mx{rng.randrange(10000)}.{rng.choice(_FAKE_DOMAINS)}"
         f" by {rng.choice(_FAKE_DOMAINS)}; t{rng.randrange(86400):05d}"
         for _ in range(count)
     )
+
+
+def add_bogus_received(m: Message, count: int, rng) -> Message:
+    """Prepend count forged Received: entries before the real ones."""
+    if count == 0:
+        return m
+    forged = _forged_received(count, rng)
     return replace(m, received_headers=forged + m.received_headers)
 
 
 def add_random_words(body: str, dictionary, count: int, rng) -> str:
-    """Append a paragraph of count dictionary words after a blank line."""
+    """Append a paragraph of count dictionary words after a blank line.
+
+    Each word is the one rng.choice(dictionary) would pick: k random bits
+    for a dictionary of n words, drawn again while they read n or more.
+    """
     if count == 0:
         return body
     if not dictionary:
         raise EmptyDictionary("random-word injection needs a dictionary")
-    words = " ".join(rng.choice(dictionary) for _ in range(count))
-    return body + "\n\n" + words
+    n = len(dictionary)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    words = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        words.append(dictionary[r])
+    return body + "\n\n" + " ".join(words)
 
 
 def _geometric(rng, p: float) -> int:
@@ -343,8 +366,9 @@ def _received_for(host: str, step: int, seq: int) -> tuple[str, ...]:
     return (f"from {host} by mx.example.org; step {step} seq {seq}",)
 
 
-def _build_message(world, sender, body, to, cc, bcc, truth) -> Message:
+def _build_message(world, sender, body, to, cc, bcc, truth, forged=()) -> Message:
     mid = world._next_message_id(sender.host)
+    received = _received_for(sender.host, world.step_no, world.msg_seq)
     return Message(
         from_addr=sender.address,
         to_addrs=tuple(to),
@@ -352,7 +376,7 @@ def _build_message(world, sender, body, to, cc, bcc, truth) -> Message:
         bcc_addrs=tuple(bcc),
         subject=_subject_for(body),
         message_id=mid,
-        received_headers=_received_for(sender.host, world.step_no, world.msg_seq),
+        received_headers=forged + received,
         body=body,
         truth=truth,
         origin_host=sender.host,
@@ -369,10 +393,12 @@ def _log_entry(world, m: Message) -> ConnectionLogEntry:
     )
 
 
-def _emit(world, out, sender, body, to, cc, bcc, truth):
-    m = _build_message(world, sender, body, to, cc, bcc, truth)
+def _emit(world, out, sender, body, to, cc, bcc, truth, forged=()):
+    """Build a message, with the forged Received: entries before the real
+    one, and append it to out with its log entry. Draws nothing from the
+    rng."""
+    m = _build_message(world, sender, body, to, cc, bcc, truth, forged)
     out.append((m, _log_entry(world, m)))
-    return m
 
 
 def _step_user(world, out, user, rng):
@@ -439,10 +465,10 @@ def _step_spammer(world, out, sp, rng):
             body = add_random_words(
                 body, world.dictionary, rng.randint(10, 30), rng
             )
-        m = _emit(world, out, sp, body, to, [], bcc, Label.SPAM)
+        forged = ()
         if sp.bogus_headers:
-            forged = add_bogus_received(m, rng.randint(1, 3), rng)
-            out[-1] = (forged, out[-1][1])
+            forged = _forged_received(rng.randint(1, 3), rng)
+        _emit(world, out, sp, body, to, [], bcc, Label.SPAM, forged)
     sp.cursor += len(chunk)
     if sp.cursor >= len(sp.targets):
         sp.state = IDLE

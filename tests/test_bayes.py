@@ -112,6 +112,32 @@ class TestInterestingWords:
         m = make_message(body="spammy spammy spammy", subject="")
         assert interesting_words(model, m) == ["spammy"]
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 40])
+    def test_matches_the_sort_key_ranking(self, n):
+        """The ranking is the one a sort on (-|p - 0.5|, word) gives, also
+        where the cut falls inside a run of words clamped to 0.01 or
+        0.99."""
+        stream = seeded_stream(3, 200)
+        model = train_messages(
+            [m for m in stream if m.truth is Label.HAM],
+            [m for m in stream if m.truth is Label.SPAM],
+            n=n,
+        )
+        cut_in_a_tie = 0
+        for m in seeded_stream(103, 200, unseen=True):
+            plain = replace(model)
+            words = set(tokenize(m.subject)) | set(tokenize(m.body))
+            ranked = sorted(
+                words, key=lambda w: (-abs(word_spaminess(plain, w) - 0.5), w)
+            )
+            assert interesting_words(model, m) == ranked[:n]
+            if len(ranked) > n > 0:
+                last = word_spaminess(plain, ranked[n - 1])
+                cut_in_a_tie += last in (0.01, 0.99) and (
+                    word_spaminess(plain, ranked[n]) == last
+                )
+        assert cut_in_a_tie > 0 or n == 40
+
 
 class TestPosterior:
     def test_single_word(self):

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from conftest import build_scenario_files
+from conftest import DEFAULT_SIM, build_scenario_files
 from spamlab import evalcli
 from spamlab.errors import ConfigInvalid
 from spamlab.evalcli import load_scenario, main, rank, run_scenario
@@ -483,6 +483,12 @@ class TestCli:
              "connlog.volume is for external filters only"),
             ({"filters": "bayes S"}, "connlog.bayes = true\n",
              "connlog.bayes is for external filters only"),
+            ({"sigma": "nan"}, "", "sigma = 'nan' is not a finite float"),
+            ({"sigma": "inf"}, "", "sigma = 'inf' is not a finite float"),
+            ({"recipients_mean": "nan"}, "",
+             "recipients_mean = 'nan' is not a finite float"),
+            ({}, "bayes.threshold = -inf\n",
+             "bayes.threshold = '-inf' is not a finite float"),
         ],
         ids=[
             "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
@@ -491,14 +497,20 @@ class TestCli:
             "no-training", "empty-command", "unbalanced-command",
             "empty-trainer", "unbalanced-trainer", "builtin-trainer",
             "builtin-connlog-volume", "builtin-connlog-bayes",
+            "sim-nan", "sim-inf", "sim-nan-mean", "option-inf",
         ],
     )
     def test_run_verb_reports_bad_values(
         self, tmp_path, scenario_builder, capsys, overrides, extra, expect
     ):
+        """overrides go to sim.cfg for its keys and to scenario.cfg for the
+        rest; extra is appended to scenario.cfg."""
+        sim = {k: v for k, v in overrides.items() if k in DEFAULT_SIM}
+        scenario = {k: v for k, v in overrides.items() if k not in sim}
         path = scenario_builder(
             tmp_path,
-            scenario_overrides={"training_steps": 5, "eval_steps": 5, **overrides},
+            sim_overrides=sim,
+            scenario_overrides={"training_steps": 5, "eval_steps": 5, **scenario},
         )
         with open(path, "a") as fh:
             fh.write(extra)

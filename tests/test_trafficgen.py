@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from spamlab import trafficgen
 from spamlab.corpus import Corpus, Label, render_message
 from spamlab.errors import (
     CalibrationFailed,
@@ -58,6 +60,49 @@ class SequenceRng:
 def build_world(config, rng=None, **kw):
     rng = rng or random.Random(config.seed)
     return World(config, [HAM_CORPUS], SPAM_CORPUS, rng, **kw), rng
+
+
+def reference_step_spammer(world, out, sp, rng):
+    """The spammer step as it was before forged entries were drawn ahead
+    of the message: rng.choice per random word, and a second message made
+    by add_bogus_received."""
+    if sp.state == IDLE:
+        if rng.random() >= sp.activation_prob or not sp.targets:
+            return
+        sp.state = SENDING
+        sp.cursor = 0
+        bodies = world.spam_corpus.bodies
+        sp.current_body = bodies[sp.body_cursor % len(bodies)]
+        sp.body_cursor += 1
+    chunk = sp.targets[sp.cursor : sp.cursor + sp.burst_rate]
+    if sp.personalize:
+        batches = [[t] for t in chunk]
+    else:
+        batches = [
+            list(chunk[i : i + trafficgen.BCC_BATCH_SIZE])
+            for i in range(0, len(chunk), trafficgen.BCC_BATCH_SIZE)
+        ]
+    for batch in batches:
+        body = sp.current_body
+        to, bcc = [], []
+        if sp.personalize:
+            body = personalize(body, batch[0])
+            to = batch
+        else:
+            bcc = batch
+        if sp.random_words:
+            count = rng.randint(10, 30)
+            words = " ".join(rng.choice(world.dictionary) for _ in range(count))
+            body = body + "\n\n" + words
+        m = trafficgen._build_message(world, sp, body, to, [], bcc, Label.SPAM)
+        out.append((m, trafficgen._log_entry(world, m)))
+        if sp.bogus_headers:
+            forged = add_bogus_received(m, rng.randint(1, 3), rng)
+            out[-1] = (forged, out[-1][1])
+    sp.cursor += len(chunk)
+    if sp.cursor >= len(sp.targets):
+        sp.state = IDLE
+        sp.cursor = 0
 
 
 class TestSelectRecipients:
@@ -288,6 +333,44 @@ class TestStep:
             streams.append("\x00".join(rendered).encode())
         assert streams[0] == streams[1]
 
+    def test_personalized_spam_matches_the_reference_draws(self, monkeypatch):
+        """Server-bulk-style spam (personalized, forged Received: entries,
+        random words) is the stream the reference spammer step below makes:
+        same messages, same log entries, same rng state after."""
+        config = SimConfig(
+            n_users=40, n_mailing_lists=1, n_spammers=3, seed=5,
+            send_prob=0.2, activation_prob=0.3, burst_rate=7,
+            spammer_db_size=12,
+        )
+        corpus = Corpus(
+            topic="many", source_path="<memory>",
+            bodies=tuple(f"word{i} other{i % 7} more{i % 13}" for i in range(300)),
+        )
+        runs = []
+        for spammer_step in (trafficgen._step_spammer, reference_step_spammer):
+            monkeypatch.setattr(trafficgen, "_step_spammer", spammer_step)
+            rng = random.Random(config.seed)
+            world = World(config, [HAM_CORPUS, corpus], SPAM_CORPUS, rng,
+                          personalize_spam=True, bogus_headers=True,
+                          random_words=True)
+            assert len(world.dictionary) > 256  # a draw can be rejected
+            stream = [pair for _ in range(40) for pair in step(world, rng)]
+            runs.append((stream, rng.getstate()))
+        (stream, state), (expected, expected_state) = runs
+        assert stream == expected and state == expected_state
+        spam = [m for m, _ in stream if m.truth is Label.SPAM]
+        assert len(spam) > 50
+        assert all(len(m.received_headers) >= 2 for m in spam)
+
+    def test_random_words_match_rng_choice(self):
+        for n in (1, 2, 3, 257, 1000, 2000):
+            dictionary = [f"w{i}" for i in range(n)]
+            for seed in range(5):
+                got = add_random_words("b", dictionary, 30, random.Random(seed))
+                rng = random.Random(seed)
+                want = "b\n\n" + " ".join(rng.choice(dictionary) for _ in range(30))
+                assert got == want
+
     def test_message_ids_unique(self):
         config = SimConfig(
             n_users=25, n_mailing_lists=2, n_spammers=2,
@@ -346,6 +429,15 @@ class TestSimConfigFile:
         for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
             with pytest.raises(ConfigInvalid, match=name):
                 SimConfig(**{name: -5}).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "sigma", "target_spam_fraction", "recipients_mean", "send_prob",
+        "activation_prob",
+    ])
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ConfigInvalid, match=f"{name} must be finite"):
+            SimConfig(**{name: value}).validate()
 
 
 class TestCalibration:
