@@ -172,6 +172,11 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
     if len(tokens) > 3:
         raise ConfigInvalid(f"filter entry {entry!r} has too many tokens")
     name = tokens[0]
+    if name in ("external", "trainer", "connlog"):
+        # its options would read as another filter's command or log key
+        raise ConfigInvalid(
+            f"filter {name}: {name!r} is reserved for {name}.<filter> keys"
+        )
     builtin_id = tokens[2] if len(tokens) == 3 else name
     level = default_level
     if len(tokens) >= 2:
@@ -244,7 +249,7 @@ def load_scenario(path) -> Scenario:
     known = {b.name for b in bindings}
     for key, value in values.items():
         owner, sep, option = key.partition(".")
-        if sep and owner in known and owner not in ("external", "trainer", "connlog"):
+        if sep and owner in known:
             filter_options.setdefault(owner, {})[option] = value
 
     scenario = Scenario(

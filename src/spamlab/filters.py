@@ -60,6 +60,17 @@ class FilterBinding:
         return self.builtin == "bayes" or self.trainer_command is not None
 
 
+def _check_range(binding, option, value, low, high=None) -> None:
+    """Raise ConfigInvalid naming the option's key unless low <= value,
+    and value <= high when high is given."""
+    if value < low or (high is not None and value > high):
+        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        key = f"{binding.name}.{option}"
+        raise ConfigInvalid(
+            f"filter {binding.name}: {key} = {value!r} must be {rule}"
+        )
+
+
 class BayesFilterState:
     """Builtin Bayes filter: a general model plus optional per-user models.
 
@@ -81,6 +92,9 @@ class BayesFilterState:
         threshold: float = bayes.DEFAULT_THRESHOLD,
         min_user_messages: int = 5,
     ):
+        _check_range(binding, "n", n, 1)
+        _check_range(binding, "threshold", threshold, 0, 1)
+        _check_range(binding, "min_user_messages", min_user_messages, 0)
         self.binding = binding
         self.n = n
         self.threshold = threshold
@@ -130,6 +144,8 @@ class VolumeFilterState:
         threshold: int = bulk.DEFAULT_VOLUME_THRESHOLD,
         count_recipients: bool = False,
     ):
+        _check_range(binding, "window", window, 1)
+        _check_range(binding, "threshold", threshold, 0)
         self.binding = binding
         self.window = bulk.VolumeWindow(
             window_size=window,
@@ -153,6 +169,7 @@ class ChecksumFilterState:
     def __init__(
         self, binding, fuzzy: bool, threshold: int = bulk.DEFAULT_BULK_THRESHOLD
     ):
+        _check_range(binding, "threshold", threshold, 1)
         self.binding = binding
         self.fuzzy = fuzzy
         self.db = bulk.ChecksumDB(bulk_threshold=threshold)

@@ -25,8 +25,13 @@ from .errors import (
     MalformedAddress,
 )
 
-IDLE = "idle"
-SENDING = "sending"
+# bound on sigma and recipients_mean: far past it normal draws overflow
+# and 1 - 1/recipients_mean rounds to 1
+SIM_SCALE_MAX = 1e12
+
+# calibration bisects until the pilot is within half the tolerance
+CALIBRATION_TOLERANCE = 0.02
+CALIBRATION_STEPS = 26
 
 # Recipients of one non-personalized spam delivery batch share one message
 # via Bcc; personalized spam is one message per recipient.
@@ -64,6 +69,9 @@ class SimConfig:
                 raise ConfigInvalid(f"{name} must be finite")
         if self.sigma <= 0:
             raise ConfigInvalid("sigma must be > 0")
+        for name in ("sigma", "recipients_mean"):
+            if getattr(self, name) > SIM_SCALE_MAX:
+                raise ConfigInvalid(f"{name} must be <= {SIM_SCALE_MAX:g}")
         if self.n_users < 2:
             raise ConfigInvalid("n_users must be >= 2")
         for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
@@ -158,17 +166,14 @@ class NormalUser:
     address: str
     host: str
     topic: str
-    send_prob: float
     body_cursor: int = 0
 
 
 @dataclass
 class MailingList:
-    index: int
     address: str
     host: str
     topic: str
-    send_prob: float
     subscribers: tuple[str, ...] = ()
     cursor: int = 0
     current_body: str | None = None
@@ -177,18 +182,11 @@ class MailingList:
 
 @dataclass
 class Spammer:
-    index: int
     address: str
     host: str
     targets: tuple[str, ...] = ()
-    activation_prob: float = 0.05
-    burst_rate: int = 50
-    personalize: bool = False
-    bogus_headers: bool = False
-    random_words: bool = False
-    state: str = IDLE
     cursor: int = 0
-    current_body: str = ""
+    current_body: str | None = None
     body_cursor: int = 0
 
 
@@ -274,8 +272,12 @@ def _geometric(rng, p: float) -> int:
 class World:
     """Mutable simulation state: sender profiles, corpora, and counters.
 
-    Single-owner; advance with step(world, rng). Parallel runs should use
-    independent worlds and independent rngs.
+    Senders hold only their own state. The run-wide settings live here:
+    the rates in config, and the three spam options (personalize_spam,
+    bogus_headers, random_words) as attributes. A mailing list or spammer
+    is idle while its current_body is None. Single-owner; advance with
+    step(world, rng). Parallel runs should use independent worlds and
+    independent rngs.
     """
 
     def __init__(
@@ -295,6 +297,9 @@ class World:
         if config.n_spammers > 0 and spam_corpus is None:
             raise ConfigInvalid("spammers configured but no spam corpus given")
         self.config = config
+        self.personalize_spam = personalize_spam
+        self.bogus_headers = bogus_headers
+        self.random_words = random_words
         self.corpora = {c.topic: c for c in ham_corpora}
         self.spam_corpus = spam_corpus
         self.step_no = 0
@@ -308,7 +313,6 @@ class World:
                 address=addresses[i],
                 host=f"host{i}.client.example",
                 topic=rng.choice(topics),
-                send_prob=config.send_prob,
                 body_cursor=i,
             )
             for i in range(config.n_users)
@@ -316,11 +320,9 @@ class World:
         n_subscribers = min(config.n_users, max(5, config.n_users // 10))
         self.mailing_lists = [
             MailingList(
-                index=config.n_users + j,
                 address=f"list{j}@lists.example.org",
                 host=f"list{j}.lists.example",
                 topic=rng.choice(topics),
-                send_prob=config.send_prob,
                 subscribers=tuple(rng.sample(addresses, n_subscribers)),
                 body_cursor=j,
             )
@@ -329,15 +331,9 @@ class World:
         db_size = min(config.n_users, config.spammer_db_size)
         self.spammers = [
             Spammer(
-                index=config.n_users + config.n_mailing_lists + k,
                 address=f"deals{k}@bulkmail.example.net",
                 host=f"relay{k}.open.example",
                 targets=tuple(rng.sample(addresses, db_size)),
-                activation_prob=config.activation_prob,
-                burst_rate=config.burst_rate,
-                personalize=personalize_spam,
-                bogus_headers=bogus_headers,
-                random_words=random_words,
             )
             for k in range(config.n_spammers)
         ]
@@ -349,10 +345,6 @@ class World:
                     seen.update(tokenize(body))
             self.dictionary = sorted(seen)[:2000]
 
-    def _next_message_id(self, host: str) -> str:
-        self.msg_seq += 1
-        return f"<{self.msg_seq}.{self.step_no}@{host}>"
-
 
 def _subject_for(body: str) -> str:
     for line in body.split("\n"):
@@ -362,48 +354,33 @@ def _subject_for(body: str) -> str:
     return "(no subject)"
 
 
-def _received_for(host: str, step: int, seq: int) -> tuple[str, ...]:
-    return (f"from {host} by mx.example.org; step {step} seq {seq}",)
-
-
-def _build_message(world, sender, body, to, cc, bcc, truth, forged=()) -> Message:
-    mid = world._next_message_id(sender.host)
-    received = _received_for(sender.host, world.step_no, world.msg_seq)
-    return Message(
+def _emit(world, out, sender, body, to, cc, bcc, truth, forged=()):
+    """Build a message, with the forged Received: entries before the real
+    one, and append it to out with its log entry. Draws nothing from the
+    rng."""
+    world.msg_seq += 1
+    seq, step_no, host = world.msg_seq, world.step_no, sender.host
+    received = f"from {host} by mx.example.org; step {step_no} seq {seq}"
+    m = Message(
         from_addr=sender.address,
         to_addrs=tuple(to),
         cc_addrs=tuple(cc),
         bcc_addrs=tuple(bcc),
         subject=_subject_for(body),
-        message_id=mid,
-        received_headers=forged + received,
+        message_id=f"<{seq}.{step_no}@{host}>",
+        received_headers=forged + (received,),
         body=body,
         truth=truth,
-        origin_host=sender.host,
-        step=world.step_no,
+        origin_host=host,
+        step=step_no,
     )
-
-
-def _log_entry(world, m: Message) -> ConnectionLogEntry:
-    return ConnectionLogEntry(
-        step=world.step_no,
-        origin_host=m.origin_host,
-        sender_addr=m.from_addr,
-        recipient_count=len(m.recipients),
-    )
-
-
-def _emit(world, out, sender, body, to, cc, bcc, truth, forged=()):
-    """Build a message, with the forged Received: entries before the real
-    one, and append it to out with its log entry. Draws nothing from the
-    rng."""
-    m = _build_message(world, sender, body, to, cc, bcc, truth, forged)
-    out.append((m, _log_entry(world, m)))
+    entry = ConnectionLogEntry(step_no, host, sender.address, len(m.recipients))
+    out.append((m, entry))
 
 
 def _step_user(world, out, user, rng):
     config = world.config
-    if rng.random() >= user.send_prob:
+    if rng.random() >= config.send_prob:
         return
     p = 1.0 / max(config.recipients_mean, 1.0)
     k = max(1, min(_geometric(rng, p), config.n_users - 1))
@@ -419,7 +396,7 @@ def _step_user(world, out, user, rng):
 
 def _step_mailing_list(world, out, ml, rng):
     if ml.current_body is None:
-        if rng.random() >= ml.send_prob or not ml.subscribers:
+        if rng.random() >= world.config.send_prob or not ml.subscribers:
             return
         corpus = world.corpora[ml.topic]
         ml.current_body = corpus.bodies[ml.body_cursor % len(corpus.bodies)]
@@ -431,55 +408,45 @@ def _step_mailing_list(world, out, ml, rng):
     )
     ml.cursor += 1
     if ml.cursor >= len(ml.subscribers):
-        ml.cursor = 0
         ml.current_body = None
 
 
 def _step_spammer(world, out, sp, rng):
-    if sp.state == IDLE:
-        if rng.random() >= sp.activation_prob or not sp.targets:
+    config = world.config
+    if sp.current_body is None:
+        if rng.random() >= config.activation_prob or not sp.targets:
             return
-        sp.state = SENDING
         sp.cursor = 0
         bodies = world.spam_corpus.bodies
         sp.current_body = bodies[sp.body_cursor % len(bodies)]
         sp.body_cursor += 1
-    chunk = sp.targets[sp.cursor : sp.cursor + sp.burst_rate]
-    if sp.personalize:
-        batches = [[t] for t in chunk]
-    else:
-        batches = [
-            list(chunk[i : i + BCC_BATCH_SIZE])
-            for i in range(0, len(chunk), BCC_BATCH_SIZE)
-        ]
-    for batch in batches:
+    chunk = sp.targets[sp.cursor : sp.cursor + config.burst_rate]
+    personal = world.personalize_spam
+    size = 1 if personal else BCC_BATCH_SIZE
+    for i in range(0, len(chunk), size):
+        batch = chunk[i : i + size]
         body = sp.current_body
-        to: list[str] = []
-        bcc: list[str] = []
-        if sp.personalize:
+        if personal:
             body = personalize(body, batch[0])
-            to = batch
-        else:
-            bcc = batch
-        if sp.random_words:
+        if world.random_words:
             body = add_random_words(
                 body, world.dictionary, rng.randint(10, 30), rng
             )
         forged = ()
-        if sp.bogus_headers:
+        if world.bogus_headers:
             forged = _forged_received(rng.randint(1, 3), rng)
-        _emit(world, out, sp, body, to, [], bcc, Label.SPAM, forged)
+        to, bcc = (batch, ()) if personal else ((), batch)
+        _emit(world, out, sp, body, to, (), bcc, Label.SPAM, forged)
     sp.cursor += len(chunk)
     if sp.cursor >= len(sp.targets):
-        sp.state = IDLE
-        sp.cursor = 0
+        sp.current_body = None
 
 
 def step(world: World, rng) -> list[tuple[Message, ConnectionLogEntry]]:
     """Advance the simulation by one step.
 
-    Senders are visited in global index order (users, then mailing lists,
-    then spammers); each emitted message is paired with its connection-log
+    Senders are visited in order (users, then mailing lists, then
+    spammers); each emitted message is paired with its connection-log
     entry.
     """
     out: list[tuple[Message, ConnectionLogEntry]] = []
@@ -559,16 +526,15 @@ def calibrate_spam_fraction(
     config: SimConfig,
     *,
     pilot_steps: int | None = None,
-    tolerance: float = 0.02,
-    max_iterations: int = 26,
 ) -> SimConfig:
     """Adjust spammer activation probability to hit the target fraction.
 
     Runs seeded dry-run pilots (config.steps long by default) and bisects
     a global multiplier on activation_prob until the pilot's
-    recipient-weighted spam fraction is within the tolerance of
-    target_spam_fraction. Raises CalibrationFailed when the target exceeds
-    what permanently-active spammers can produce.
+    recipient-weighted spam fraction is within CALIBRATION_TOLERANCE / 2
+    of target_spam_fraction, for at most CALIBRATION_STEPS steps. Raises
+    CalibrationFailed when the target exceeds what permanently-active
+    spammers can produce.
     """
     config.validate()
     if pilot_steps is None:
@@ -596,7 +562,7 @@ def calibrate_spam_fraction(
         return sum(estimates) / len(estimates)
 
     ceiling = fraction_at(hi)
-    if ceiling + tolerance < target:
+    if ceiling + CALIBRATION_TOLERANCE < target:
         raise CalibrationFailed(
             f"target {target:.3f} unreachable: ceiling at full activation"
             f" is {ceiling:.3f}"
@@ -604,13 +570,13 @@ def calibrate_spam_fraction(
     lo = 0.0
     best = hi
     best_err = abs(ceiling - target)
-    for _ in range(max_iterations):
+    for _ in range(CALIBRATION_STEPS):
         mid = (lo + hi) / 2.0
         f = fraction_at(mid)
         err = abs(f - target)
         if err < best_err:
             best, best_err = mid, err
-        if err <= tolerance / 2.0:
+        if err <= CALIBRATION_TOLERANCE / 2.0:
             best = mid
             break
         if f < target:

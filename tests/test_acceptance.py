@@ -25,7 +25,6 @@ from spamlab.corpus import Corpus, Label
 from spamlab.evalcli import ConfusionCounts, FilterResult, far, frr, main, rank, wrongness
 from spamlab.filters import Level, emit_training_sets
 from spamlab.trafficgen import (
-    SENDING,
     SimConfig,
     World,
     calibrate_spam_fraction,
@@ -278,7 +277,6 @@ def test_c7_checksum_personalization():
     rng = random.Random(config.seed)
     world = World(config, ham_corpora, spam_corpus, rng, personalize_spam=True)
     spammer = world.spammers[0]
-    spammer.state = SENDING
     spammer.current_body = spam_corpus.bodies[0]
     burst = [m for m, _ in step(world, rng)]
     assert len(burst) == 50

@@ -1,3 +1,4 @@
+import re
 import shlex
 import subprocess
 import sys
@@ -348,3 +349,42 @@ class TestBuiltinRegistry:
             {"threshold": "2"},
         )
         assert f.db.bulk_threshold == 2
+
+    @pytest.mark.parametrize(
+        "builtin, option, text, rule",
+        [
+            ("bayes", "n", "-5", ">= 1"),
+            ("bayes", "n", "0", ">= 1"),
+            ("bayes", "threshold", "1.5", "in [0, 1]"),
+            ("bayes", "threshold", "-0.1", "in [0, 1]"),
+            ("bayes", "min_user_messages", "-1", ">= 0"),
+            ("volume", "window", "0", ">= 1"),
+            ("volume", "threshold", "-1", ">= 0"),
+            ("checksum", "threshold", "-1", ">= 1"),
+            ("checksum-fuzzy", "threshold", "0", ">= 1"),
+        ],
+    )
+    def test_out_of_range_options_rejected(self, builtin, option, text, rule):
+        binding = FilterBinding(name="f", level=Level.SERVER, builtin=builtin)
+        message = f"filter f: f.{option} = {text} must be {rule}"
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            build_filter(binding, {option: text})
+
+    def test_range_checked_for_library_callers(self):
+        binding = FilterBinding(name="c", level=Level.SERVER, builtin="checksum")
+        with pytest.raises(ConfigInvalid, match="c.threshold = 0"):
+            filters.ChecksumFilterState(binding, fuzzy=False, threshold=0)
+
+    @pytest.mark.parametrize(
+        "builtin, options",
+        [
+            ("bayes", {"n": "1", "threshold": "0", "min_user_messages": "0"}),
+            ("bayes", {"threshold": "1"}),
+            ("volume", {"window": "1", "threshold": "0"}),
+            ("checksum", {"threshold": "1"}),
+            ("checksum-fuzzy", {"threshold": "1"}),
+        ],
+    )
+    def test_range_edges_accepted(self, builtin, options):
+        binding = FilterBinding(name="f", level=Level.SERVER, builtin=builtin)
+        build_filter(binding, options)

@@ -489,6 +489,14 @@ class TestCli:
              "recipients_mean = 'nan' is not a finite float"),
             ({}, "bayes.threshold = -inf\n",
              "bayes.threshold = '-inf' is not a finite float"),
+            ({"sigma": "1e308"}, "", "sigma must be <= 1e+12"),
+            ({"recipients_mean": "1e17"}, "", "recipients_mean must be <= 1e+12"),
+            ({"filters": "trainer U bayes"}, "trainer.threshold = abc\n",
+             "filter trainer: 'trainer' is reserved for trainer.<filter> keys"),
+            ({}, "bayes.n = -5\n", "bayes.n = -5 must be >= 1"),
+            ({}, "volume.window = 0\n", "volume.window = 0 must be >= 1"),
+            ({}, "checksum-fuzzy.threshold = -1\n",
+             "checksum-fuzzy.threshold = -1 must be >= 1"),
         ],
         ids=[
             "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
@@ -498,6 +506,8 @@ class TestCli:
             "empty-trainer", "unbalanced-trainer", "builtin-trainer",
             "builtin-connlog-volume", "builtin-connlog-bayes",
             "sim-nan", "sim-inf", "sim-nan-mean", "option-inf",
+            "sim-huge-sigma", "sim-huge-mean", "reserved-filter-name",
+            "bayes.n-range", "volume.window-range", "checksum.threshold-range",
         ],
     )
     def test_run_verb_reports_bad_values(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,8 +13,7 @@ from spamlab.errors import (
     MalformedAddress,
 )
 from spamlab.trafficgen import (
-    IDLE,
-    SENDING,
+    SIM_SCALE_MAX,
     ConnectionLogEntry,
     SimConfig,
     World,
@@ -66,16 +66,15 @@ def reference_step_spammer(world, out, sp, rng):
     """The spammer step as it was before forged entries were drawn ahead
     of the message: rng.choice per random word, and a second message made
     by add_bogus_received."""
-    if sp.state == IDLE:
-        if rng.random() >= sp.activation_prob or not sp.targets:
+    if sp.current_body is None:
+        if rng.random() >= world.config.activation_prob or not sp.targets:
             return
-        sp.state = SENDING
         sp.cursor = 0
         bodies = world.spam_corpus.bodies
         sp.current_body = bodies[sp.body_cursor % len(bodies)]
         sp.body_cursor += 1
-    chunk = sp.targets[sp.cursor : sp.cursor + sp.burst_rate]
-    if sp.personalize:
+    chunk = sp.targets[sp.cursor : sp.cursor + world.config.burst_rate]
+    if world.personalize_spam:
         batches = [[t] for t in chunk]
     else:
         batches = [
@@ -85,24 +84,22 @@ def reference_step_spammer(world, out, sp, rng):
     for batch in batches:
         body = sp.current_body
         to, bcc = [], []
-        if sp.personalize:
+        if world.personalize_spam:
             body = personalize(body, batch[0])
             to = batch
         else:
             bcc = batch
-        if sp.random_words:
+        if world.random_words:
             count = rng.randint(10, 30)
             words = " ".join(rng.choice(world.dictionary) for _ in range(count))
             body = body + "\n\n" + words
-        m = trafficgen._build_message(world, sp, body, to, [], bcc, Label.SPAM)
-        out.append((m, trafficgen._log_entry(world, m)))
-        if sp.bogus_headers:
-            forged = add_bogus_received(m, rng.randint(1, 3), rng)
-            out[-1] = (forged, out[-1][1])
+        trafficgen._emit(world, out, sp, body, to, [], bcc, Label.SPAM)
+        if world.bogus_headers:
+            m, entry = out[-1]
+            out[-1] = (add_bogus_received(m, rng.randint(1, 3), rng), entry)
     sp.cursor += len(chunk)
     if sp.cursor >= len(sp.targets):
-        sp.state = IDLE
-        sp.cursor = 0
+        sp.current_body = None
 
 
 class TestSelectRecipients:
@@ -211,7 +208,6 @@ class TestStep:
         )
         world, rng = build_world(config, personalize_spam=True)
         sp = world.spammers[0]
-        sp.state = SENDING
         sp.current_body = SPAM_CORPUS.bodies[0]
         for expected_step in range(4):
             out = step(world, rng)
@@ -219,7 +215,7 @@ class TestStep:
             assert all(m.step == expected_step for m, _ in out)
             assert all(len(m.recipients) == 1 for m, _ in out)
             assert all(m.to_addrs for m, _ in out)
-        assert sp.state == IDLE
+        assert sp.current_body is None
         assert step(world, rng) == []
 
     def test_bcc_batched_burst(self):
@@ -231,7 +227,6 @@ class TestStep:
         )
         world, rng = build_world(config)
         sp = world.spammers[0]
-        sp.state = SENDING
         sp.current_body = SPAM_CORPUS.bodies[0]
         out = step(world, rng)
         assert len(out) == 1
@@ -259,8 +254,7 @@ class TestStep:
             send_prob=1.0,
         )
         world, rng = build_world(config)
-        for u in world.users:
-            u.send_prob = 0.0
+        world.users.clear()
         ml = world.mailing_lists[0]
         seen = []
         for _ in range(len(ml.subscribers)):
@@ -277,8 +271,7 @@ class TestStep:
             n_users=10, n_mailing_lists=1, n_spammers=0, send_prob=1.0,
         )
         world, rng = build_world(config)
-        for u in world.users:
-            u.send_prob = 0.0
+        world.users.clear()
         ml = world.mailing_lists[0]
         bodies = set()
         for _ in range(len(ml.subscribers)):
@@ -371,6 +364,40 @@ class TestStep:
                 want = "b\n\n" + " ".join(rng.choice(dictionary) for _ in range(30))
                 assert got == want
 
+    def test_stream_digest_is_pinned(self):
+        """The stream of two seeded worlds, one with personalized spam
+        carrying forged headers and random words and one with Bcc batches
+        of up to 50, hashes to a fixed value: any change in the order of
+        the draws or in how a message or log line is built shows here."""
+        ham = [
+            Corpus(topic=t, source_path="<memory>", bodies=tuple(
+                f"{t} word{i} other{i % 7}\n\nmore{i % 13} text"
+                for i in range(40)))
+            for t in ("cooking", "sailing")
+        ]
+        spam = Corpus(topic="spam", source_path="<memory>", bodies=tuple(
+            f"offer{i} click here\n\nclaim prize{i % 5}" for i in range(9)))
+        shapes = [
+            (dict(n_users=30, n_mailing_lists=2, n_spammers=3, burst_rate=7,
+                  spammer_db_size=15),
+             dict(personalize_spam=True, bogus_headers=True, random_words=True)),
+            (dict(n_users=130, n_mailing_lists=2, n_spammers=2, burst_rate=60,
+                  spammer_db_size=120), {}),
+        ]
+        digest = hashlib.sha256()
+        for shape, spam_options in shapes:
+            config = SimConfig(sigma=4.0, seed=11, send_prob=0.2,
+                               activation_prob=0.2, **shape)
+            rng = random.Random(config.seed)
+            world = World(config, ham, spam, rng, **spam_options)
+            for _ in range(50):
+                for m, entry in step(world, rng):
+                    digest.update(render_message(m).encode())
+                    digest.update(entry.as_line().encode() + b"\n")
+        assert digest.hexdigest() == (
+            "c44143b86c39e6b86a0305f4e0a64a6cf1b443234a7bec24ccbc97bac01bc985"
+        )
+
     def test_message_ids_unique(self):
         config = SimConfig(
             n_users=25, n_mailing_lists=2, n_spammers=2,
@@ -438,6 +465,31 @@ class TestSimConfigFile:
     def test_non_finite_floats_rejected(self, name, value):
         with pytest.raises(ConfigInvalid, match=f"{name} must be finite"):
             SimConfig(**{name: value}).validate()
+
+    def test_huge_sigma_rejected(self):
+        # normalvariate(0, 1e308) overflows to inf, which no index rounds to
+        with pytest.raises(ConfigInvalid, match="sigma must be <= 1e"):
+            build_world(SimConfig(n_users=40, sigma=1e308))
+
+    def test_huge_recipients_mean_rejected(self):
+        # 1 - 1/1e17 rounds to 1, so the geometric draw would divide by 0
+        config = SimConfig(n_users=20, steps=10, recipients_mean=1e17)
+        with pytest.raises(ConfigInvalid, match="recipients_mean must be <= 1e"):
+            calibrate_spam_fraction(config)
+
+    def test_scales_at_the_bound_run(self):
+        config = SimConfig(
+            n_users=20, n_mailing_lists=0, n_spammers=1, steps=10,
+            sigma=SIM_SCALE_MAX, recipients_mean=SIM_SCALE_MAX,
+            target_spam_fraction=0.2,
+        )
+        world, rng = build_world(config)
+        ham = [m for _ in range(20) for m, _ in step(world, rng)
+               if m.truth is Label.HAM]
+        assert ham
+        assert all(len(m.recipients) == config.n_users - 1 for m in ham)
+        calibrated = calibrate_spam_fraction(config, pilot_steps=10)
+        assert 0 < calibrated.activation_prob <= 1.0
 
 
 class TestCalibration:
