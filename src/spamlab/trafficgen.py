@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate, repeat, starmap
 from pathlib import Path
 from typing import get_type_hints
 
@@ -77,8 +80,9 @@ class SimConfig:
         for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
-        if not 0.0 <= self.target_spam_fraction <= 1.0:
-            raise ConfigInvalid("target_spam_fraction must be in [0, 1]")
+        for name in ("target_spam_fraction", "send_prob", "activation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigInvalid(f"{name} must be in [0, 1]")
         if self.burst_rate < 1:
             raise ConfigInvalid("burst_rate must be >= 1")
 
@@ -224,41 +228,40 @@ def personalize(body: str, recipient: str) -> str:
     return f"Dear {login},\n{body}"
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """The draw rng.choice, rng.randrange and rng.randint make for n values:
+    k random bits for n values, drawn again while they read n or more."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _forged_received(count: int, rng) -> tuple[str, ...]:
+    """count forged Received: entries, drawn as rng.randrange and
+    rng.choice would draw them (_randbelow)."""
+    getrandbits, domains = rng.getrandbits, _FAKE_DOMAINS
     return tuple(
-        f"from mx{rng.randrange(10000)}.{rng.choice(_FAKE_DOMAINS)}"
-        f" by {rng.choice(_FAKE_DOMAINS)}; t{rng.randrange(86400):05d}"
+        f"from mx{_randbelow(getrandbits, 10000)}"
+        f".{domains[_randbelow(getrandbits, len(domains))]}"
+        f" by {domains[_randbelow(getrandbits, len(domains))]}"
+        f"; t{_randbelow(getrandbits, 86400):05d}"
         for _ in range(count)
     )
-
-
-def add_bogus_received(m: Message, count: int, rng) -> Message:
-    """Prepend count forged Received: entries before the real ones."""
-    if count == 0:
-        return m
-    forged = _forged_received(count, rng)
-    return replace(m, received_headers=forged + m.received_headers)
 
 
 def add_random_words(body: str, dictionary, count: int, rng) -> str:
     """Append a paragraph of count dictionary words after a blank line.
 
-    Each word is the one rng.choice(dictionary) would pick: k random bits
-    for a dictionary of n words, drawn again while they read n or more.
+    Each word is the one rng.choice(dictionary) would pick (_randbelow).
     """
     if count == 0:
         return body
     if not dictionary:
         raise EmptyDictionary("random-word injection needs a dictionary")
-    n = len(dictionary)
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-    words = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        words.append(dictionary[r])
+    n, getrandbits = len(dictionary), rng.getrandbits
+    words = [dictionary[_randbelow(getrandbits, n)] for _ in range(count)]
     return body + "\n\n" + " ".join(words)
 
 
@@ -386,8 +389,9 @@ def _step_user(world, out, user, rng):
     k = max(1, min(_geometric(rng, p), config.n_users - 1))
     indices = select_recipients(user.index, config.n_users, config.sigma, k, rng)
     to, cc, bcc = [], [], []
+    fields, getrandbits = (to, cc, bcc), rng.getrandbits
     for idx in indices:
-        rng.choice((to, cc, bcc)).append(world.users[idx].address)
+        fields[_randbelow(getrandbits, 3)].append(world.users[idx].address)
     corpus = world.corpora[user.topic]
     body = corpus.bodies[user.body_cursor % len(corpus.bodies)]
     user.body_cursor += 1
@@ -423,18 +427,19 @@ def _step_spammer(world, out, sp, rng):
     chunk = sp.targets[sp.cursor : sp.cursor + config.burst_rate]
     personal = world.personalize_spam
     size = 1 if personal else BCC_BATCH_SIZE
+    getrandbits = rng.getrandbits
     for i in range(0, len(chunk), size):
         batch = chunk[i : i + size]
         body = sp.current_body
         if personal:
             body = personalize(body, batch[0])
+        # 10 + _randbelow(.., 21) is rng.randint(10, 30), 1 + .. is randint(1, 3)
         if world.random_words:
-            body = add_random_words(
-                body, world.dictionary, rng.randint(10, 30), rng
-            )
+            n_words = 10 + _randbelow(getrandbits, 21)
+            body = add_random_words(body, world.dictionary, n_words, rng)
         forged = ()
         if world.bogus_headers:
-            forged = _forged_received(rng.randint(1, 3), rng)
+            forged = _forged_received(1 + _randbelow(getrandbits, 3), rng)
         to, bcc = (batch, ()) if personal else ((), batch)
         _emit(world, out, sp, body, to, (), bcc, Label.SPAM, forged)
     sp.cursor += len(chunk)
@@ -478,40 +483,141 @@ def measure_spam_fraction(messages) -> float:
     return spam / (spam + ham)
 
 
-def _pilot_spam_fraction(config: SimConfig, multiplier: float, steps: int, seed: int) -> float:
-    """Dry-run estimate of the recipient-weighted spam fraction.
+class _PilotDraws:
+    """One pilot seed's random() draws, made once and parsed as user slots.
 
-    Mirrors the sender state machines of step() while counting deliveries
-    only, so calibration pilots cost no message construction.
+    A user slot is one user's turn in a pilot step: one draw, and when it
+    is below send_prob (a send slot) and recipients_mean > 1, the next draw
+    as well, for the geometric recipient count. The parse reads the draws
+    as a run of user slots from draw 0 and records, for each send slot, its
+    draw index (send_at), its slot index (send_slot) and the running total
+    of the clamped recipient counts (ham[m] sums the first m send slots).
+    It depends on the config but not on activation_prob, so every pilot of
+    one calibration reuses it. Draws are made and parsed chunk at a time,
+    as pilots reach them.
     """
-    draw = random.Random(seed).random
+
+    def __init__(self, config: SimConfig, seed: int, chunk: int = 1 << 12):
+        self.config = config
+        self.draw = random.Random(seed).random
+        self.chunk = chunk
+        p = 1.0 / max(config.recipients_mean, 1.0)
+        # _geometric(rng, p) inlined: the same draws, with log(1 - p) taken once
+        self.log_q = math.log(1.0 - p) if p < 1.0 else None
+        self.wide = 0 if self.log_q is None else 1  # a send slot's geometric draw
+        self.draws = array("d")
+        self.send_at = array("q")
+        # with one-draw slots, a slot's index is its draw index
+        self.send_slot = self.send_at if self.wide == 0 else array("q")
+        self.ham = array("q", [0])
+        self.parsed = 0  # the draw index where the parse stops: a slot start
+
+    def recipients(self, geometric_draws) -> list[int]:
+        """The clamped recipient counts of send slots with these geometric
+        draws: max(1, min(n, n_users - 1)), as n >= 1."""
+        log, log_q, most = math.log, self.log_q, max(1, self.config.n_users - 1)
+        return [min(int(log(1.0 - d) / log_q) + 1, most) for d in geometric_draws]
+
+    def _extend(self) -> None:
+        draws, send_at, wide = self.draws, self.send_at, self.wide
+        made = list(starmap(self.draw, repeat((), self.chunk)))
+        base = len(draws)
+        draws.fromlist(made)
+        send_prob, kept, slot_start = self.config.send_prob, [], self.parsed
+        if slot_start < base:
+            # the last chunk ended on this send slot's first draw
+            kept.append(slot_start)
+            slot_start += 2
+        for i in [i for i, d in enumerate(made, base) if d < send_prob]:
+            if i >= slot_start:  # else the geometric draw of the slot before
+                kept.append(i)
+                slot_start = i + 1 + wide
+        self.parsed = len(draws)
+        if wide:
+            if kept and kept[-1] == self.parsed - 1:
+                self.parsed = kept.pop()  # its geometric draw is in the next chunk
+            self.send_slot.extend([i - m for m, i in enumerate(kept, len(send_at))])
+            counts = self.recipients([draws[i + 1] for i in kept])
+        else:
+            counts = repeat(1, len(kept))
+        send_at.extend(kept)
+        # the running total goes on from the last one, which it yields first
+        self.ham.extend(accumulate(counts, initial=self.ham.pop()))
+
+    def draw_to(self, n: int) -> None:
+        """Make sure the first n draws are made."""
+        while len(self.draws) < n:
+            self._extend()
+
+    def _parse_to(self, pos: int) -> int:
+        """Parse past draw index pos; return the number of send slots
+        before it."""
+        while self.parsed < pos:
+            self._extend()
+        return bisect_left(self.send_at, pos)
+
+    def walk(self, pos: int, n: int) -> tuple[int, int]:
+        """Walk n user slots from draw index pos; return the ham deliveries
+        they make and the draw index after them.
+
+        A walk that starts on the geometric draw of a parsed send slot is
+        off the parse: it steps slot by slot until it lands on a slot start
+        of the parse, which it does at its first draw not below send_prob.
+        From there it jumps the remaining slots with two bisections.
+        """
+        sent, wide = 0, self.wide
+        if wide:
+            k = self._parse_to(pos)
+            off = k > 0 and self.send_at[k - 1] == pos - 1
+            draws, send_prob = self.draws, self.config.send_prob
+            while off and n:
+                n -= 1
+                self.draw_to(pos + 2)
+                if draws[pos] >= send_prob:
+                    pos, off = pos + 1, False
+                else:
+                    sent += self.recipients((draws[pos + 1],))[0]
+                    pos += 2
+                    off = draws[pos - 1] < send_prob  # a send slot of the parse
+            if off:
+                return sent, pos
+        k = self._parse_to(pos)
+        target = pos - k * wide + n  # the slot index after the walk
+        while self.parsed - len(self.send_at) * wide < target:
+            self._extend()
+        j = bisect_left(self.send_slot, target)
+        return sent + self.ham[j] - self.ham[k], target + j * wide
+
+
+def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
+    """The spam fraction of one pilot over one seed's parsed draws."""
+    config = draws.config
     n_users, send_prob, burst_rate = config.n_users, config.send_prob, config.burst_rate
     n_lists, n_spammers = config.n_mailing_lists, config.n_spammers
     n_subscribers = min(n_users, max(5, n_users // 10))
     db_size = min(n_users, config.spammer_db_size)
     activation = min(1.0, config.activation_prob * multiplier)
-    p = 1.0 / max(config.recipients_mean, 1.0)
-    # _geometric(rng, p) inlined: the same draws, with log(1 - p) taken once
-    log, log_q = math.log, math.log(1.0 - p) if p < 1.0 else None
+    values = draws.draws
 
     list_remaining = [0] * n_lists
     spam_remaining = [0] * n_spammers
-    ham = spam = 0
+    ham = spam = pos = 0
     for _ in range(steps):
-        for _user in range(n_users):
-            if draw() < send_prob:
-                n = 1 if log_q is None else int(log(1.0 - draw()) / log_q) + 1
-                ham += max(1, min(n, n_users - 1))
+        user_ham, pos = draws.walk(pos, n_users)
+        ham += user_ham
+        draws.draw_to(pos + n_lists + n_spammers)
         for j in range(n_lists):
             if list_remaining[j] == 0:
-                if draw() >= send_prob:
+                pos += 1
+                if values[pos - 1] >= send_prob:
                     continue
                 list_remaining[j] = n_subscribers
             ham += 1
             list_remaining[j] -= 1
         for k in range(n_spammers):
             if spam_remaining[k] == 0:
-                if draw() >= activation:
+                pos += 1
+                if values[pos - 1] >= activation:
                     continue
                 spam_remaining[k] = db_size
             sent = min(burst_rate, spam_remaining[k])
@@ -520,6 +626,20 @@ def _pilot_spam_fraction(config: SimConfig, multiplier: float, steps: int, seed:
     if ham + spam == 0:
         return 0.0
     return spam / (ham + spam)
+
+
+def _pilot_spam_fraction(config: SimConfig, multiplier: float, steps: int, seed: int) -> float:
+    """Dry-run estimate of the recipient-weighted spam fraction.
+
+    Mirrors the sender state machines of step() while counting deliveries
+    only, so calibration pilots cost no message construction. It replays
+    exactly the per-draw dry run over random.Random(seed).random (one draw
+    per user and per idle sender, plus each user send's geometric draw),
+    but jumps through each step's users on a parse of the seed's draws
+    (_PilotDraws). calibrate_spam_fraction makes that parse once per pilot
+    seed and reuses it for every multiplier.
+    """
+    return _pilot(_PilotDraws(config, seed), multiplier, steps)
 
 
 def calibrate_spam_fraction(
@@ -535,6 +655,12 @@ def calibrate_spam_fraction(
     of target_spam_fraction, for at most CALIBRATION_STEPS steps. Raises
     CalibrationFailed when the target exceeds what permanently-active
     spammers can produce.
+
+    Each multiplier is measured by three pilots, one per pilot seed. Each
+    pilot seed's draws are made and parsed once per calibration
+    (_PilotDraws), and every pilot reuses that parse, yet replays the
+    per-draw dry run exactly, so the calibrated values are the ones a
+    pilot that draws afresh for each multiplier gives.
     """
     config.validate()
     if pilot_steps is None:
@@ -551,14 +677,12 @@ def calibrate_spam_fraction(
 
     pilot_seed = config.seed * 1_000_003 + 17
     hi = 1.0 / config.activation_prob  # multiplier that saturates at 1.0
+    seed_draws = [_PilotDraws(config, pilot_seed + salt) for salt in (0, 1, 2)]
 
     def fraction_at(multiplier: float) -> float:
         # averaged over fixed pilot seeds: spam arrives in bursts, so a
         # single pilot's fraction estimate is too noisy to bisect on
-        estimates = [
-            _pilot_spam_fraction(config, multiplier, pilot_steps, pilot_seed + salt)
-            for salt in (0, 1, 2)
-        ]
+        estimates = [_pilot(draws, multiplier, pilot_steps) for draws in seed_draws]
         return sum(estimates) / len(estimates)
 
     ceiling = fraction_at(hi)

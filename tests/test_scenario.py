@@ -497,6 +497,8 @@ class TestCli:
             ({}, "volume.window = 0\n", "volume.window = 0 must be >= 1"),
             ({}, "checksum-fuzzy.threshold = -1\n",
              "checksum-fuzzy.threshold = -1 must be >= 1"),
+            ({"send_prob": 15}, "", "send_prob must be in [0, 1]"),
+            ({"activation_prob": -3}, "", "activation_prob must be in [0, 1]"),
         ],
         ids=[
             "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
@@ -508,6 +510,7 @@ class TestCli:
             "sim-nan", "sim-inf", "sim-nan-mean", "option-inf",
             "sim-huge-sigma", "sim-huge-mean", "reserved-filter-name",
             "bayes.n-range", "volume.window-range", "checksum.threshold-range",
+            "sim-send_prob-range", "sim-activation_prob-range",
         ],
     )
     def test_run_verb_reports_bad_values(

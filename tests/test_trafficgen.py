@@ -1,8 +1,11 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spamlab import trafficgen
 from spamlab.corpus import Corpus, Label, render_message
@@ -17,8 +20,9 @@ from spamlab.trafficgen import (
     ConnectionLogEntry,
     SimConfig,
     World,
+    _forged_received,
     _pilot_spam_fraction,
-    add_bogus_received,
+    _randbelow,
     add_random_words,
     calibrate_spam_fraction,
     load_sim_config,
@@ -64,8 +68,8 @@ def build_world(config, rng=None, **kw):
 
 def reference_step_spammer(world, out, sp, rng):
     """The spammer step as it was before forged entries were drawn ahead
-    of the message: rng.choice per random word, and a second message made
-    by add_bogus_received."""
+    of the message: rng.randint and rng.choice per random word, and a
+    second message with the forged entries prepended."""
     if sp.current_body is None:
         if rng.random() >= world.config.activation_prob or not sp.targets:
             return
@@ -96,10 +100,63 @@ def reference_step_spammer(world, out, sp, rng):
         trafficgen._emit(world, out, sp, body, to, [], bcc, Label.SPAM)
         if world.bogus_headers:
             m, entry = out[-1]
-            out[-1] = (add_bogus_received(m, rng.randint(1, 3), rng), entry)
+            forged = _forged_received(rng.randint(1, 3), rng)
+            out[-1] = (replace(m, received_headers=forged + m.received_headers), entry)
     sp.cursor += len(chunk)
     if sp.cursor >= len(sp.targets):
         sp.current_body = None
+
+
+def reference_pilot(config, multiplier, steps, seed):
+    """The calibration pilot as a per-draw dry run: one rng.random() per
+    user and per idle sender, plus each user send's geometric draw."""
+    draw = random.Random(seed).random
+    n_users, send_prob, burst_rate = config.n_users, config.send_prob, config.burst_rate
+    n_lists, n_spammers = config.n_mailing_lists, config.n_spammers
+    n_subscribers = min(n_users, max(5, n_users // 10))
+    db_size = min(n_users, config.spammer_db_size)
+    activation = min(1.0, config.activation_prob * multiplier)
+    p = 1.0 / max(config.recipients_mean, 1.0)
+    log, log_q = math.log, math.log(1.0 - p) if p < 1.0 else None
+
+    list_remaining = [0] * n_lists
+    spam_remaining = [0] * n_spammers
+    ham = spam = 0
+    for _ in range(steps):
+        for _user in range(n_users):
+            if draw() < send_prob:
+                n = 1 if log_q is None else int(log(1.0 - draw()) / log_q) + 1
+                ham += max(1, min(n, n_users - 1))
+        for j in range(n_lists):
+            if list_remaining[j] == 0:
+                if draw() >= send_prob:
+                    continue
+                list_remaining[j] = n_subscribers
+            ham += 1
+            list_remaining[j] -= 1
+        for k in range(n_spammers):
+            if spam_remaining[k] == 0:
+                if draw() >= activation:
+                    continue
+                spam_remaining[k] = db_size
+            sent = min(burst_rate, spam_remaining[k])
+            spam += sent
+            spam_remaining[k] -= sent
+    if ham + spam == 0:
+        return 0.0
+    return spam / (ham + spam)
+
+
+def bisection_multipliers(config, turns):
+    """The multipliers calibrate_spam_fraction tries when the pilot lands
+    below the target at each True in turns: the ceiling, then midpoints."""
+    lo, hi = 0.0, 1.0 / config.activation_prob
+    multipliers = [hi]
+    for below in turns:
+        mid = (lo + hi) / 2.0
+        multipliers.append(mid)
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return multipliers
 
 
 class TestSelectRecipients:
@@ -149,26 +206,62 @@ class TestPersonalize:
 
 
 class TestBogusReceived:
-    def real_message(self):
-        world, rng = build_world(SimConfig(n_users=4, n_mailing_lists=0,
-                                           n_spammers=0, send_prob=1.0))
-        return step(world, rng)[0][0]
+    def real_message(self, forged=()):
+        world, _rng = build_world(SimConfig(n_users=4, n_mailing_lists=0,
+                                            n_spammers=0, send_prob=1.0))
+        out = []
+        trafficgen._emit(world, out, world.users[0], "hello", [world.users[1].address],
+                         [], [], Label.HAM, forged)
+        return out[0][0]
 
     def test_count_zero_is_identity(self):
-        m = self.real_message()
-        assert add_bogus_received(m, 0, random.Random(1)) is m
+        rng = random.Random(1)
+        state = rng.getstate()
+        forged = _forged_received(0, rng)
+        assert forged == () and rng.getstate() == state
+        assert len(self.real_message(forged).received_headers) == 1
 
     def test_prepends_before_real_headers(self):
-        m = self.real_message()
-        forged = add_bogus_received(m, 2, random.Random(1))
-        assert len(forged.received_headers) == 3
-        assert forged.received_headers[-1] == m.received_headers[0]
+        forged = _forged_received(2, random.Random(1))
+        m = self.real_message(forged)
+        assert len(m.received_headers) == 3
+        assert m.received_headers[:2] == forged
+        assert m.received_headers[-1] == self.real_message().received_headers[0]
 
     def test_deterministic_for_fixed_seed(self):
-        m = self.real_message()
-        a = add_bogus_received(m, 2, random.Random(9))
-        b = add_bogus_received(m, 2, random.Random(9))
-        assert a.received_headers == b.received_headers
+        a = _forged_received(2, random.Random(9))
+        assert a == _forged_received(2, random.Random(9))
+        assert all(entry.startswith("from mx") for entry in a)
+
+    def test_matches_rng_methods(self):
+        domains = trafficgen._FAKE_DOMAINS
+        for seed in range(20):
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            want = tuple(
+                f"from mx{want_rng.randrange(10000)}.{want_rng.choice(domains)}"
+                f" by {want_rng.choice(domains)}; t{want_rng.randrange(86400):05d}"
+                for _ in range(3)
+            )
+            assert _forged_received(3, rng) == want
+            assert rng.getstate() == want_rng.getstate()
+
+
+class TestRandbelow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 21, 257, 10000, 86400, 2**40 + 3])
+    def test_matches_rng_methods(self, n):
+        """_randbelow(getrandbits, n) is the draw behind rng.choice on n
+        items, rng.randrange(n) and rng.randint(a, a + n - 1)."""
+        for seed in range(10):
+            rng = random.Random(seed)
+            got = [_randbelow(rng.getrandbits, n) for _ in range(20)]
+            for method in (
+                lambda r: r.randrange(n),
+                lambda r: r.choice(range(n)),
+                lambda r: r.randint(5, 5 + n - 1) - 5,
+            ):
+                want_rng = random.Random(seed)
+                assert got == [method(want_rng) for _ in range(20)]
+                assert rng.getstate() == want_rng.getstate()
 
 
 class TestRandomWords:
@@ -449,6 +542,11 @@ class TestSimConfigFile:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigInvalid):
             SimConfig(sigma=0.0).validate()
+        with pytest.raises(ConfigInvalid, match=r"send_prob must be in \[0, 1\]"):
+            SimConfig(n_users=10, n_mailing_lists=0, n_spammers=1, send_prob=7.0,
+                      activation_prob=-3.0).validate()
+        with pytest.raises(ConfigInvalid, match=r"activation_prob must be in \[0, 1\]"):
+            SimConfig(activation_prob=-3.0).validate()
         with pytest.raises(ConfigInvalid):
             SimConfig(n_users=1).validate()
         with pytest.raises(ConfigInvalid):
@@ -492,7 +590,101 @@ class TestSimConfigFile:
         assert 0 < calibrated.activation_prob <= 1.0
 
 
+pilot_configs = st.builds(
+    SimConfig,
+    n_users=st.integers(2, 30),
+    n_mailing_lists=st.integers(0, 3),
+    n_spammers=st.integers(0, 4),
+    recipients_mean=st.sampled_from([0.5, 1.0]) | st.floats(1.0, 8.0),
+    send_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    activation_prob=st.floats(0.001, 1.0),
+    burst_rate=st.integers(1, 30),
+    spammer_db_size=st.integers(0, 40),
+)
+
+
+class TestPilot:
+    """The calibration pilot jumps through each step's users on one parse
+    of the seed's draws; it must replay reference_pilot exactly."""
+
+    def check(self, config, seed, steps, turns, chunk):
+        draws = trafficgen._PilotDraws(config, seed, chunk=chunk)
+        for multiplier in bisection_multipliers(config, turns):
+            want = reference_pilot(config, multiplier, steps, seed)
+            assert trafficgen._pilot(draws, multiplier, steps) == want
+            assert _pilot_spam_fraction(config, multiplier, steps, seed) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=pilot_configs,
+        seed=st.integers(0, 2**32),
+        steps=st.integers(0, 50),
+        turns=st.lists(st.booleans(), max_size=6),
+        chunk=st.sampled_from([1, 2, 3, 5, 64, 4096]),
+    )
+    def test_replays_the_per_draw_pilot(self, config, seed, steps, turns, chunk):
+        self.check(config, seed, steps, turns, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(recipients_mean=1.0),  # no geometric draw
+            dict(recipients_mean=0.5, send_prob=0.6),
+            dict(send_prob=0.0),
+            dict(send_prob=1.0),  # every user slot is two draws wide
+            dict(send_prob=1.0, recipients_mean=1.0),
+            dict(n_users=2, n_mailing_lists=0),
+            dict(spammer_db_size=0),
+            dict(recipients_mean=50.0, send_prob=0.9),  # counts clamp at n_users - 1
+        ],
+        ids=["mean-1", "mean-below-1", "send-0", "send-1", "send-1-mean-1",
+             "two-users-no-lists", "db-0", "clamped"],
+    )
+    def test_edge_shapes(self, shape, chunk):
+        config = SimConfig(**{"n_users": 12, "n_mailing_lists": 2, "n_spammers": 3,
+                              "send_prob": 0.3, "activation_prob": 0.2,
+                              "burst_rate": 4, "spammer_db_size": 9, **shape})
+        for seed in range(4):
+            self.check(config, seed, 40, [True, False, False, True], chunk)
+
+    def test_send_slot_on_a_chunk_boundary(self):
+        """A send slot that starts on the last draw of a chunk has its
+        geometric draw in the next one: the parse stops before it."""
+        config = SimConfig(n_users=10, n_mailing_lists=1, n_spammers=2,
+                           send_prob=0.3, recipients_mean=2.0, activation_prob=0.3)
+        rng = random.Random(3)
+        first_send = next(i for i in range(100) if rng.random() < config.send_prob)
+        draws = trafficgen._PilotDraws(config, 3, chunk=first_send + 1)
+        draws.draw_to(1)
+        assert draws.parsed == first_send and len(draws.send_at) == 0
+        draws.draw_to(first_send + 2)
+        assert draws.send_at[0] == first_send
+        for multiplier in (1.0, 0.5, 3.0):
+            want = reference_pilot(config, multiplier, 60, 3)
+            assert trafficgen._pilot(draws, multiplier, 60) == want
+
+
 class TestCalibration:
+    @pytest.mark.parametrize(
+        "shape, activation_prob",
+        [
+            (dict(seed=2004), 0.0234375),
+            (dict(seed=2005), 0.0234375),
+            (dict(seed=2006, n_users=60, n_mailing_lists=1, n_spammers=3,
+                  spammer_db_size=20, burst_rate=20), 0.09375),
+        ],
+        ids=["user-bayes", "server-bulk", "external-wrapper"],
+    )
+    def test_benchmark_shapes_are_pinned(self, shape, activation_prob):
+        config = SimConfig(**{
+            "n_users": 500, "n_mailing_lists": 5, "n_spammers": 10,
+            "sigma": 10.0, "steps": 500, "target_spam_fraction": 0.4,
+            "recipients_mean": 1.3, "send_prob": 0.1, "activation_prob": 0.05,
+            "burst_rate": 50, "spammer_db_size": 200, **shape,
+        })
+        assert calibrate_spam_fraction(config).activation_prob == activation_prob
+
     def test_zero_target_without_spammers_is_identity(self):
         config = SimConfig(n_spammers=0, target_spam_fraction=0.0)
         assert calibrate_spam_fraction(config) == config
