@@ -92,23 +92,27 @@ class ParsedMessage:
 MIN_TOKEN_LEN = 2
 MAX_TOKEN_LEN = 40
 
-# Token characters: unicode alphanumerics plus ' - $ so that contractions,
-# hyphenated words, markup names, and dollar amounts survive as features.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|['$-])+")
+# Token characters: unicode letters and digits plus ' - $ so that
+# contractions, hyphenated words, markup names, and dollar amounts survive
+# as features. tokenize maps "_" to a space first, so \w stands for letters
+# and digits. The lookarounds match only whole runs, so a run outside the
+# length bounds yields nothing rather than a piece of itself.
+_TOKEN_CHAR = r"[\w'$-]"
+_TOKEN_RE = re.compile(
+    rf"(?<!{_TOKEN_CHAR}){_TOKEN_CHAR}{{{MIN_TOKEN_LEN},{MAX_TOKEN_LEN}}}"
+    rf"(?!{_TOKEN_CHAR})"
+)
 
 
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase word tokens.
 
-    Any character outside [alphanumeric ' - $] separates tokens. Tokens
-    shorter than 2 or longer than 40 characters are dropped. Order and
-    multiplicity are preserved; output never contains uppercase characters
-    or whitespace.
+    The text is lowercased; a token is a run of letters, digits, ' - and $.
+    "_" and every other character separate tokens. Runs shorter than 2 or
+    longer than 40 characters are dropped whole. Order and multiplicity are
+    preserved; output never contains uppercase characters or whitespace.
     """
-    return [
-        t for t in _TOKEN_RE.findall(text.lower())
-        if MIN_TOKEN_LEN <= len(t) <= MAX_TOKEN_LEN
-    ]
+    return _TOKEN_RE.findall(text.lower().replace("_", " "))
 
 
 def render_message(m: Message) -> str:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import make_message
 from spamlab.corpus import (
-    _TOKEN_RE,
     MAX_TOKEN_LEN,
     MIN_TOKEN_LEN,
     load_corpus,
@@ -209,11 +208,32 @@ class TestTokenize:
     def test_matches_the_match_by_match_loop(self, s):
         assert tokenize(s) == reference_tokenize(s)
 
+    def test_every_code_point_matches_the_reference(self):
+        doubled = [
+            chr(c) * 2 for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF
+        ]
+        runs = [
+            "x" * 40, "x" * 41, "Ab'-$" * 8, "Ab'-$" * 8 + "9",
+            "İ" * 20, "İ" * 21, "_" + "y" * 40 + "_", "_" + "y" * 41 + "_",
+        ]
+        for text in (" ".join(doubled + runs), "_".join(doubled + runs)):
+            assert tokenize(text) == reference_tokenize(text)
+
+    def test_time_is_linear_in_run_length(self):
+        # A pattern that backtracked over each long run would not finish.
+        assert tokenize("a" * 1_000_000) == []
+        assert tokenize("ab_" * 300_000) == ["ab"] * 300_000
+
+
+# The original token pattern: a run of letters, digits and ' $ -, one
+# alternation per character, with the length bounds applied afterwards.
+REFERENCE_TOKEN_RE = re.compile(r"(?:[^\W_]|['$-])+")
+
 
 def reference_tokenize(text):
     """tokenize as a loop over regex matches, one group() per token."""
     tokens = []
-    for match in _TOKEN_RE.finditer(text.lower()):
+    for match in REFERENCE_TOKEN_RE.finditer(text.lower()):
         token = match.group()
         if MIN_TOKEN_LEN <= len(token) <= MAX_TOKEN_LEN:
             tokens.append(token)
