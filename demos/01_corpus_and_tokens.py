@@ -17,14 +17,14 @@ from spamlab.corpus import (
     tokenize,
 )
 
-root = Path(tempfile.mkdtemp(prefix="spamlab-demo-"))
-topic_dir = root / "cooking"
-topic_dir.mkdir()
-(topic_dir / "000.txt").write_text("the stew needs more thyme\nsimmer slowly")
-(topic_dir / "001.txt").write_text("proof the dough overnight")
-(topic_dir / "002.txt").write_text("deglaze the pan with stock")
+with tempfile.TemporaryDirectory(prefix="spamlab-demo-") as root:
+    topic_dir = Path(root) / "cooking"
+    topic_dir.mkdir()
+    (topic_dir / "000.txt").write_text("the stew needs more thyme\nsimmer slowly")
+    (topic_dir / "001.txt").write_text("proof the dough overnight")
+    (topic_dir / "002.txt").write_text("deglaze the pan with stock")
+    corpus = load_corpus(topic_dir, "cooking")
 
-corpus = load_corpus(topic_dir, "cooking")
 print(f"loaded corpus {corpus.topic!r} with {len(corpus.bodies)} bodies")
 print("first body:", corpus.bodies[0].split("\n")[0])
 

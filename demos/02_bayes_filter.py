@@ -7,7 +7,6 @@ inspects per-word spam probabilities, and classifies fresh messages.
 
 import random
 import tempfile
-from pathlib import Path
 
 from spamlab.bayes import (
     bayes_classify,
@@ -41,9 +40,9 @@ for _ in range(60):
     stream.append(message(
         " ".join(rng.choice(SPAM_WORDS) for _ in range(12)), Label.SPAM))
 
-out = Path(tempfile.mkdtemp(prefix="spamlab-demo-"))
-ham_paths, spam_paths = emit_training_sets(stream, out)
-model = train_bayes(ham_paths[0], spam_paths[0], n=15, threshold=0.9)
+with tempfile.TemporaryDirectory(prefix="spamlab-demo-") as out:
+    ham_paths, spam_paths = emit_training_sets(stream, out)
+    model = train_bayes(ham_paths[0], spam_paths[0], n=15, threshold=0.9)
 print(f"trained on {model.n_ham_msgs} ham / {model.n_spam_msgs} spam messages")
 
 print("\nper-word spam probabilities:")

@@ -177,14 +177,14 @@ _HEADER_LINE_RE = re.compile(r"^[!-9;-~]+: ?")
 def split_mbox(text: str) -> Iterator[str]:
     """Yield the message texts of mbox text, one at a time.
 
-    Messages are separated by lines beginning "From "; the separator lines
-    themselves are dropped. ">From"-style quoting applied by write_mbox is
-    undone, and one trailing newline is stripped from each message text:
-    after the last message, the one write_mbox appends. Before a separator
-    that newline goes with the separator, so there a message's own last
-    newline is stripped instead. Content before the first separator is
-    ignored. A generator: it cuts out one message text at a time, so a
-    caller that parses as it goes holds one message beside the input.
+    Messages are separated by lines beginning "From "; each separator line
+    is dropped with the newline before it, the one write_mbox appends to
+    the message before. The last message loses one trailing newline, the
+    one write_mbox appends to it, so a message's own last newline is kept.
+    ">From"-style quoting applied by write_mbox is undone. Content before
+    the first separator is ignored. A generator: it cuts out one message
+    text at a time, so a caller that parses as it goes holds one message
+    beside the input.
     """
     if text.startswith("From "):
         start = 0
@@ -199,7 +199,7 @@ def split_mbox(text: str) -> Iterator[str]:
             return
         end = text.find("\nFrom ", eol)
         entry = text[eol + 1 : end] if end >= 0 else text[eol + 1 :]
-        if entry.endswith("\n"):
+        if end < 0 and entry.endswith("\n"):
             entry = entry[:-1]
         # The substitution visits every line start; most entries hold no
         # quoted line at all, and a substring test skips them.
@@ -213,9 +213,8 @@ def write_mbox(path, messages, render=render_message) -> None:
     """Write messages to an mbox file with "From " separator lines.
 
     Lines that would collide with the separator ("From ", ">From ", ...)
-    are quoted with a leading '>' so split_mbox gives each rendered text
-    back; one that ends in a newline comes back a newline short unless it
-    is the last.
+    are quoted with a leading '>', and each text is followed by one
+    newline, so split_mbox gives each rendered text back exactly.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for m in messages:

@@ -49,8 +49,9 @@ class NoHamEvaluated(SpamlabError):
     """FRR is undefined: no ham messages were evaluated."""
 
 
-class ConfigInvalid(SpamlabError):
-    """A simulation or scenario config file failed validation."""
+class ConfigInvalid(SpamlabError, ValueError):
+    """A simulation or scenario config, or a filter binding, failed
+    validation."""
 
 
 class CorpusMissing(SpamlabError):

@@ -32,14 +32,12 @@ from .errors import (
     WrapperCrashed,
 )
 from .filters import (
-    BUILTIN_FILTERS,
     BayesFilterState,
     FilterBinding,
     Level,
     build_filter,
     classify,
     emit_training_sets,
-    split_command,
     train,
 )
 from .trafficgen import SimConfig, World, parse_kv, parse_value, step
@@ -168,6 +166,8 @@ class Scenario:
 
 
 def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level) -> FilterBinding:
+    """Read one lineup entry and its filter's keys into a binding, which
+    checks the binding rules itself."""
     tokens = entry.split()
     if len(tokens) > 3:
         raise ConfigInvalid(f"filter entry {entry!r} has too many tokens")
@@ -186,36 +186,16 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
             raise ConfigInvalid(f"filter {name}: bad level {tokens[1]!r}")
 
     key = f"connlog.{name}"
-    wants_log = parse_value(f"filter {name}", key, values.get(key, "false"), bool)
-    if wants_log and level is not Level.SERVER:
-        raise ConfigInvalid(f"filter {name}: {key} needs level S")
     command = values.get(f"external.{name}")
-    trainer = values.get(f"trainer.{name}")
-    for command_key, text in (
-        (f"external.{name}", command), (f"trainer.{name}", trainer)
-    ):
-        if text is not None:
-            split_command(f"filter {name}", command_key, text)
-    if command is None:
-        if builtin_id not in BUILTIN_FILTERS:
-            raise ConfigInvalid(
-                f"filter {name}: not a builtin and no external.{name} command"
-            )
-        if builtin_id == "volume" and level is not Level.SERVER:
-            raise ConfigInvalid(f"filter {name}: volume needs level S")
-        # a builtin runs no trainer command and reads no log
-        if trainer is not None or wants_log:
-            unused = f"trainer.{name}" if trainer is not None else key
-            raise ConfigInvalid(
-                f"filter {name}: {unused} is for external filters only"
-            )
     return FilterBinding(
         name=name,
         level=level,
         builtin=builtin_id if command is None else None,
         command=command,
-        trainer_command=trainer,
-        needs_connection_log=wants_log,
+        trainer_command=values.get(f"trainer.{name}"),
+        needs_connection_log=parse_value(
+            f"filter {name}", key, values.get(key, "false"), bool
+        ),
     )
 
 
@@ -326,15 +306,15 @@ def _train_filters(filters, stream, out_dir):
             f.train_user_models(stream)
 
 
-def _classify_into(outcomes, f, m, log_path) -> None:
+def _classify_into(outcomes, f, m) -> None:
     """Store f's verdict on m in outcomes, or the exception it raised."""
     try:
-        outcomes[f.binding.name] = classify(f, m, log_path)
+        outcomes[f.binding.name] = classify(f, m)
     except BaseException as exc:  # raised by the caller once threads are joined
         outcomes[f.binding.name] = exc
 
 
-def _classify_message(filters, side, m, log_path, counts, errors) -> None:
+def _classify_message(filters, side, m, counts, errors) -> None:
     """Classify m with every filter and record each verdict or wrapper crash.
 
     Each filter in side classifies on a short-lived thread of its own
@@ -344,14 +324,14 @@ def _classify_message(filters, side, m, log_path, counts, errors) -> None:
     """
     outcomes: dict[str, object] = {}
     threads = [
-        threading.Thread(target=_classify_into, args=(outcomes, f, m, log_path))
+        threading.Thread(target=_classify_into, args=(outcomes, f, m))
         for f in side
     ]
     for t in threads:
         t.start()
     for f in filters:
         if f not in side:
-            _classify_into(outcomes, f, m, log_path)
+            _classify_into(outcomes, f, m)
     for t in threads:
         t.join()
     for f in filters:
@@ -377,11 +357,12 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     run side by side; each filter still sees one message at a time.
     """
     scenario.validate()
+    out = Path(out_dir)
+    log_path = out / "connections.log"
     filters = [
-        build_filter(b, scenario.filter_options.get(b.name))
+        build_filter(b, scenario.filter_options.get(b.name), log_path)
         for b in scenario.filters
     ]
-    out = Path(out_dir)
     rng = random.Random(scenario.sim.seed)
     world = _build_world(scenario, rng)
 
@@ -393,7 +374,6 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     _train_filters(filters, training_stream, out)
     del training_stream  # evaluation holds no training message
 
-    log_path = out / "connections.log"
     log_read = any(f.binding.needs_connection_log for f in filters)
     side = [f for f in filters if f.binding.command is not None][:-1]
     counts = {f.binding.name: ConfusionCounts() for f in filters}
@@ -409,7 +389,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
                 log.write(entry.as_line() + "\n")
                 if log_read:
                     log.flush()
-                _classify_message(filters, side, m, str(log_path), counts, errors)
+                _classify_message(filters, side, m, counts, errors)
 
     ranked = rank([
         score(f.binding.name, f.binding.level, counts[f.binding.name],
@@ -481,22 +461,25 @@ def write_reports(ranked: list[FilterResult], out_dir) -> None:
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#7f7f7f", "#17becf")
+_SVG_FRR_MAX = 0.02
+_SVG_FAR_MAX = 1.0
 
 
-def render_far_frr_svg(results, frr_max: float = 0.02, far_max: float = 1.0) -> str:
+def render_far_frr_svg(results) -> str:
     """Scatter plot of filters in the FAR/FRR plane.
 
-    FRR runs horizontally on [0, 0.02], FAR vertically on [0, 1]; points
-    beyond the FRR range are clamped to the right edge.
+    FRR runs horizontally on [0, _SVG_FRR_MAX], FAR vertically on
+    [0, _SVG_FAR_MAX]; points beyond the FRR range are clamped to the
+    right edge.
     """
     width, height = 640, 480
     left, right, top, bottom = 70, 620, 20, 420
 
     def x_of(v):
-        return left + (min(v, frr_max) / frr_max) * (right - left)
+        return left + (min(v, _SVG_FRR_MAX) / _SVG_FRR_MAX) * (right - left)
 
     def y_of(v):
-        return bottom - (min(v, far_max) / far_max) * (bottom - top)
+        return bottom - (min(v, _SVG_FAR_MAX) / _SVG_FAR_MAX) * (bottom - top)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'

@@ -33,12 +33,31 @@ class Level(Enum):
     SERVER = "S"
 
 
+def split_command(where: str, key: str, text: str) -> list[str]:
+    """Split a command line into its argv; raise ConfigInvalid naming key
+    when the text has an unclosed quote or no words."""
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{where}: {key} = {text!r}: {exc}") from exc
+    if not argv:
+        raise ConfigInvalid(f"{where}: {key} is empty")
+    return argv
+
+
 @dataclass(frozen=True)
 class FilterBinding:
     """How one filter participates in an evaluation run.
 
-    Exactly one of builtin/command is set. needs_connection_log implies
-    SERVER level: user-level filters never see the log.
+    A binding checks its rules when it is made and raises ConfigInvalid,
+    naming the config key, for the first one it breaks:
+    - exactly one of builtin/command is set;
+    - needs_connection_log implies SERVER level: user-level filters never
+      see the log;
+    - each command splits into a non-empty argv;
+    - the builtin is one of BUILTIN_FILTERS;
+    - volume runs at SERVER level;
+    - a builtin runs no trainer command and reads no log.
     """
 
     name: str
@@ -49,10 +68,27 @@ class FilterBinding:
     needs_connection_log: bool = False
 
     def __post_init__(self):
+        name, where = self.name, f"filter {self.name}"
         if (self.builtin is None) == (self.command is None):
-            raise ValueError("binding needs exactly one of builtin or command")
+            raise ConfigInvalid(f"{where}: needs exactly one of builtin or command")
         if self.needs_connection_log and self.level is not Level.SERVER:
-            raise ValueError("needs_connection_log requires SERVER level")
+            raise ConfigInvalid(f"{where}: connlog.{name} needs level S")
+        for key, text in (
+            (f"external.{name}", self.command), (f"trainer.{name}", self.trainer_command)
+        ):
+            if text is not None:
+                split_command(where, key, text)
+        if self.builtin is None:
+            return
+        if self.builtin not in BUILTIN_FILTERS:
+            raise ConfigInvalid(f"{where}: not a builtin and no external.{name} command")
+        if self.builtin == "volume" and self.level is not Level.SERVER:
+            raise ConfigInvalid(f"{where}: volume needs level S")
+        if self.trainer_command is not None or self.needs_connection_log:
+            unused = "trainer" if self.trainer_command is not None else "connlog"
+            raise ConfigInvalid(
+                f"{where}: {unused}.{name} is for external filters only"
+            )
 
     @property
     def needs_training(self) -> bool:
@@ -122,7 +158,7 @@ class BayesFilterState:
                     ham, spam, self.n, self.threshold, self.tokens
                 )
 
-    def classify(self, m: Message, context=None) -> Verdict:
+    def classify(self, m: Message) -> Verdict:
         model = self.model
         if self.user_models:
             # user-level deployment: the first recipient's mailbox filter
@@ -153,7 +189,7 @@ class VolumeFilterState:
             count_recipients=count_recipients,
         )
 
-    def classify(self, m: Message, context=None) -> Verdict:
+    def classify(self, m: Message) -> Verdict:
         return bulk.volume_classify(self.window, m)
 
 
@@ -177,7 +213,7 @@ class ChecksumFilterState:
         # sees every digest computed
         self.digests = Memo(lambda body: bulk.body_checksum(body, fuzzy))
 
-    def classify(self, m: Message, context=None) -> Verdict:
+    def classify(self, m: Message) -> Verdict:
         return bulk.checksum_classify(self.db, m, self.fuzzy, self.digests)
 
 
@@ -190,42 +226,32 @@ class ConstantFilterState:
         self.binding = binding
         self.label = label
 
-    def classify(self, m: Message, context=None) -> Verdict:
+    def classify(self, m: Message) -> Verdict:
         return Verdict(self.label, None)
-
-
-def split_command(where: str, key: str, text: str) -> list[str]:
-    """Split a command line into its argv; raise ConfigInvalid naming key
-    when the text has an unclosed quote or no words."""
-    try:
-        argv = shlex.split(text)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{where}: {key} = {text!r}: {exc}") from exc
-    if not argv:
-        raise ConfigInvalid(f"{where}: {key} is empty")
-    return argv
 
 
 class ExternalFilterState:
     """Wrapper around an external classify command and optional trainer.
 
-    Both commands are split once, when the filter is built, and a
-    server-level wrapper's environment is copied once per connection-log
-    path, so a classify call costs one process and no set-up.
+    Both commands are split, and a log-reading wrapper's environment is
+    copied, once, when the filter is built, so a classify call costs one
+    process and no set-up.
     """
 
     OPTIONS: dict[str, type] = {}
 
-    def __init__(self, binding: FilterBinding):
+    def __init__(self, binding: FilterBinding, log_path=None):
         self.binding = binding
-        where = f"filter {binding.name}"
-        self.argv = split_command(where, f"external.{binding.name}", binding.command)
+        # the binding has checked that both commands split
+        self.argv = shlex.split(binding.command)
         self.trainer_argv = None
         if binding.trainer_command is not None:
-            self.trainer_argv = split_command(
-                where, f"trainer.{binding.name}", binding.trainer_command
-            )
-        self._envs: dict[str, dict[str, str]] = {}  # connection-log path -> env
+            self.trainer_argv = shlex.split(binding.trainer_command)
+        self.env = None
+        if binding.needs_connection_log:
+            if log_path is None:
+                raise ValueError(f"{binding.name}: connection log required")
+            self.env = {**os.environ, CONNLOG_ENV_VAR: str(log_path)}
 
     def train(self, ham, spam) -> None:
         try:
@@ -242,19 +268,13 @@ class ExternalFilterState:
                 f"{self.binding.name}: trainer exited {proc.returncode}{why}"
             )
 
-    def classify(self, m: Message, context=None) -> Verdict:
-        env = None
-        if self.binding.needs_connection_log:
-            env = self._envs.get(context)
-            if env is None:
-                env = self._envs[context] = os.environ.copy()
-                env[CONNLOG_ENV_VAR] = str(context)
+    def classify(self, m: Message) -> Verdict:
         try:
             proc = subprocess.run(
                 self.argv,
                 input=render_message(m).encode("utf-8"),
                 capture_output=True,
-                env=env,
+                env=self.env,
             )
         except OSError as exc:
             raise WrapperCrashed(f"{self.binding.name}: {exc}") from exc
@@ -296,20 +316,19 @@ BUILTIN_FILTERS = {
 }
 
 
-def build_filter(binding: FilterBinding, options: dict | None = None):
+def build_filter(binding: FilterBinding, options: dict | None = None, log_path=None):
     """Instantiate the stateful filter object for a binding.
 
     options maps option names to their config text; each is converted to
     the type in the filter class's OPTIONS table. Raises ConfigInvalid for
     an option the filter does not have or a value that does not convert.
+    log_path is the connection log that an external filter reading it is
+    pointed at; building one without it raises ValueError.
     """
     if binding.builtin is None:
-        cls, kwargs = ExternalFilterState, {}
+        cls, kwargs = ExternalFilterState, {"log_path": log_path}
     else:
-        try:
-            cls, fixed = BUILTIN_FILTERS[binding.builtin]
-        except KeyError:
-            raise ValueError(f"unknown builtin filter {binding.builtin!r}")
+        cls, fixed = BUILTIN_FILTERS[binding.builtin]
         kwargs = dict(fixed)
     where = f"filter {binding.name}"
     for option, text in (options or {}).items():
@@ -320,17 +339,9 @@ def build_filter(binding: FilterBinding, options: dict | None = None):
     return cls(binding, **kwargs)
 
 
-def classify(filt, m: Message, context=None) -> Verdict:
-    """Classify one message with a built filter.
-
-    context is the connection-log path and must be provided exactly when
-    the binding requires it.
-    """
-    if filt.binding.needs_connection_log and context is None:
-        raise ValueError(f"{filt.binding.name}: connection log required")
-    if not filt.binding.needs_connection_log:
-        context = None
-    return filt.classify(m, context)
+def classify(filt, m: Message) -> Verdict:
+    """Classify one message with a built filter."""
+    return filt.classify(m)
 
 
 def train(filt, ham, spam) -> None:

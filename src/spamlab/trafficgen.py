@@ -590,7 +590,16 @@ class _PilotDraws:
 
 
 def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
-    """The spam fraction of one pilot over one seed's parsed draws."""
+    """Dry-run estimate of the recipient-weighted spam fraction over one
+    seed's parsed draws.
+
+    Mirrors the sender state machines of step() while counting deliveries
+    only, so calibration pilots cost no message construction. It replays
+    exactly the per-draw dry run over random.Random(seed).random (one draw
+    per user and per idle sender, plus each user send's geometric draw),
+    but jumps through each step's users on the parse. calibrate_spam_fraction
+    makes that parse once per pilot seed and reuses it for every multiplier.
+    """
     config = draws.config
     n_users, send_prob, burst_rate = config.n_users, config.send_prob, config.burst_rate
     n_lists, n_spammers = config.n_mailing_lists, config.n_spammers
@@ -626,20 +635,6 @@ def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
     if ham + spam == 0:
         return 0.0
     return spam / (ham + spam)
-
-
-def _pilot_spam_fraction(config: SimConfig, multiplier: float, steps: int, seed: int) -> float:
-    """Dry-run estimate of the recipient-weighted spam fraction.
-
-    Mirrors the sender state machines of step() while counting deliveries
-    only, so calibration pilots cost no message construction. It replays
-    exactly the per-draw dry run over random.Random(seed).random (one draw
-    per user and per idle sender, plus each user send's geometric draw),
-    but jumps through each step's users on a parse of the seed's draws
-    (_PilotDraws). calibrate_spam_fraction makes that parse once per pilot
-    seed and reuses it for every multiplier.
-    """
-    return _pilot(_PilotDraws(config, seed), multiplier, steps)
 
 
 def calibrate_spam_fraction(

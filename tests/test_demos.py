@@ -13,8 +13,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo, tmp_path):
-    # the demos write under tempfile.mkdtemp() and leave it behind, so
-    # point TMPDIR at a directory pytest cleans up
     pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(
         os.environ,
@@ -30,3 +28,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("spamlab-demo-*")) == []

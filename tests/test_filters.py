@@ -44,6 +44,19 @@ class TestBindingInvariants:
                 name="x", level=Level.USER, builtin="bayes", command="cat",
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"level": Level.USER, "builtin": "volume"}, "volume needs level S"),
+            ({"level": Level.SERVER, "builtin": "bayes", "trainer_command": "cat"},
+             "trainer.v is for external filters only"),
+        ],
+        ids=["volume-at-U", "builtin-trainer"],
+    )
+    def test_builtin_rules_checked_when_made(self, fields, message):
+        with pytest.raises(ConfigInvalid, match=re.escape(f"filter v: {message}")):
+            FilterBinding(name="v", **fields)
+
 
 class TestWrapperProtocol:
     def test_always_ham(self):
@@ -95,18 +108,17 @@ class TestWrapperProtocol:
             "print('spam' if 'host9' in open(path).read() else 'ham')\n"
         )
         f = build_filter(
-            external_binding(code, level=Level.SERVER, needs_connection_log=True)
+            external_binding(code, level=Level.SERVER, needs_connection_log=True),
+            log_path=log,
         )
-        assert classify(f, make_message(), context=str(log)).label is Label.SPAM
+        assert classify(f, make_message()).label is Label.SPAM
 
-    def test_context_required_when_binding_wants_log(self):
-        f = build_filter(
-            external_binding(
-                "print('ham')", level=Level.SERVER, needs_connection_log=True
-            )
+    def test_log_path_required_when_binding_wants_log(self):
+        binding = external_binding(
+            "print('ham')", level=Level.SERVER, needs_connection_log=True
         )
-        with pytest.raises(ValueError):
-            classify(f, make_message())
+        with pytest.raises(ValueError, match="connection log required"):
+            build_filter(binding)
 
     def test_commands_split_once_when_built(self, monkeypatch):
         binding = external_binding(
@@ -124,7 +136,8 @@ class TestWrapperProtocol:
 
     def test_one_environment_per_connection_log(self, monkeypatch):
         f = build_filter(
-            external_binding("", level=Level.SERVER, needs_connection_log=True)
+            external_binding("", level=Level.SERVER, needs_connection_log=True),
+            log_path="a.log",
         )
         envs = []
 
@@ -134,17 +147,14 @@ class TestWrapperProtocol:
 
         monkeypatch.setattr(filters.subprocess, "run", fake_run)
         for _ in range(3):
-            classify(f, make_message(), context="a.log")
-        classify(f, make_message(), context="b.log")
-        assert [env[CONNLOG_ENV_VAR] for env in envs] == ["a.log"] * 3 + ["b.log"]
+            classify(f, make_message())
+        assert [env[CONNLOG_ENV_VAR] for env in envs] == ["a.log"] * 3
         assert envs[0] is envs[1] is envs[2]
-        assert envs[3] is not envs[0]
 
     @pytest.mark.parametrize("command", ["", "  ", "'abc"])
     def test_unsplittable_command_rejected_when_built(self, command):
-        binding = FilterBinding(name="x", level=Level.USER, command=command)
         with pytest.raises(ConfigInvalid, match="external.x"):
-            build_filter(binding)
+            FilterBinding(name="x", level=Level.USER, command=command)
 
     def test_classify_does_not_mutate_message(self):
         f = build_filter(external_binding("print('ham')"))

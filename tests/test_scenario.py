@@ -192,11 +192,11 @@ class TestRunScenario:
                 training.extend(weakref.ref(m) for m, _ in batch)
             return batch
 
-        def checking_classify(f, m, log_path):
+        def checking_classify(f, m):
             if not alive:
                 gc.collect()
                 alive.append([r for r in training if r() is not None])
-            return classify(f, m, log_path)
+            return classify(f, m)
 
         monkeypatch.setattr(evalcli, "step", recording_step)
         monkeypatch.setattr(evalcli, "classify", checking_classify)
@@ -313,10 +313,10 @@ class TestSideBySideWrappers:
     def test_side_exception_stops_the_run_after_the_join(self, tmp_path, monkeypatch):
         original = ExternalFilterState.classify
 
-        def classify(self, m, context=None):
+        def classify(self, m):
             if self.binding.name == "first":
                 raise RuntimeError("side filter broke")
-            return original(self, m, context)
+            return original(self, m)
 
         monkeypatch.setattr(ExternalFilterState, "classify", classify)
         before = set(threading.enumerate())

@@ -21,7 +21,6 @@ from spamlab.trafficgen import (
     SimConfig,
     World,
     _forged_received,
-    _pilot_spam_fraction,
     _randbelow,
     add_random_words,
     calibrate_spam_fraction,
@@ -612,7 +611,8 @@ class TestPilot:
         for multiplier in bisection_multipliers(config, turns):
             want = reference_pilot(config, multiplier, steps, seed)
             assert trafficgen._pilot(draws, multiplier, steps) == want
-            assert _pilot_spam_fraction(config, multiplier, steps, seed) == want
+            fresh = trafficgen._PilotDraws(config, seed)
+            assert trafficgen._pilot(fresh, multiplier, steps) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -736,7 +736,7 @@ class TestCalibration:
             config, random.Random(1), personalize_spam=personalized
         )
         stream = [m for _ in range(2500) for m, _ in step(world, rng)]
-        pilot = _pilot_spam_fraction(config, 1.0, 10_000, seed=1)
+        pilot = trafficgen._pilot(trafficgen._PilotDraws(config, 1), 1.0, 10_000)
         assert measure_spam_fraction(stream) == pytest.approx(pilot, abs=0.02)
 
     def test_measure_spam_fraction_weighs_recipients(self):
