@@ -15,7 +15,7 @@ import csv
 import random
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -151,7 +151,6 @@ class Scenario:
     personalized: bool = False
     bogus_headers: bool = False
     random_words: bool = False
-    filter_options: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.training_steps < 0:
@@ -166,8 +165,8 @@ class Scenario:
 
 
 def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level) -> FilterBinding:
-    """Read one lineup entry and its filter's keys into a binding, which
-    checks the binding rules itself."""
+    """Read one lineup entry and its filter's keys, options included, into
+    a binding, which checks the binding rules itself."""
     tokens = entry.split()
     if len(tokens) > 3:
         raise ConfigInvalid(f"filter entry {entry!r} has too many tokens")
@@ -177,7 +176,8 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
         raise ConfigInvalid(
             f"filter {name}: {name!r} is reserved for {name}.<filter> keys"
         )
-    builtin_id = tokens[2] if len(tokens) == 3 else name
+    if "." in name:  # its <name>.<option> keys would split at the wrong dot
+        raise ConfigInvalid(f"filter {name}: {name!r} may not contain '.'")
     level = default_level
     if len(tokens) >= 2:
         try:
@@ -187,15 +187,20 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
 
     key = f"connlog.{name}"
     command = values.get(f"external.{name}")
+    # a builtin id given beside a command is kept, so the binding rejects both
+    builtin = tokens[2] if len(tokens) == 3 else name if command is None else None
+    prefix = f"{name}."
     return FilterBinding(
         name=name,
         level=level,
-        builtin=builtin_id if command is None else None,
+        builtin=builtin,
         command=command,
         trainer_command=values.get(f"trainer.{name}"),
         needs_connection_log=parse_value(
             f"filter {name}", key, values.get(key, "false"), bool
         ),
+        options={k.removeprefix(prefix): text
+                 for k, text in values.items() if k.startswith(prefix)},
     )
 
 
@@ -206,10 +211,9 @@ def load_scenario(path) -> Scenario:
     for key in ("spam_corpus", "ham_corpus", "sim", "filters"):
         if key not in values:
             raise ConfigInvalid(f"{path}: missing key {key!r}")
-    # each Scenario field but filter_options is a top-level key; every
-    # other key is dotted and belongs to a filter
+    # each Scenario field is a top-level key; every other key is dotted
+    # and belongs to a filter
     kinds = get_type_hints(Scenario)
-    del kinds["filter_options"]
     for key in values:
         if "." not in key and key not in kinds:
             raise ConfigInvalid(f"{path}: unknown key {key!r}")
@@ -225,12 +229,6 @@ def load_scenario(path) -> Scenario:
         for entry in values["filters"].split(";")
         if entry.strip()
     ]
-    filter_options: dict[str, dict[str, str]] = {}
-    known = {b.name for b in bindings}
-    for key, value in values.items():
-        owner, sep, option = key.partition(".")
-        if sep and owner in known:
-            filter_options.setdefault(owner, {})[option] = value
 
     scenario = Scenario(
         name=values.get("name", path.stem),
@@ -239,7 +237,6 @@ def load_scenario(path) -> Scenario:
         level=level,
         sim=sim,
         filters=bindings,
-        filter_options=filter_options,
         **{
             key: parse_value(path, key, text, kinds[key])
             for key, text in values.items()
@@ -359,10 +356,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     scenario.validate()
     out = Path(out_dir)
     log_path = out / "connections.log"
-    filters = [
-        build_filter(b, scenario.filter_options.get(b.name), log_path)
-        for b in scenario.filters
-    ]
+    filters = [build_filter(b, log_path) for b in scenario.filters]
     rng = random.Random(scenario.sim.seed)
     world = _build_world(scenario, rng)
 

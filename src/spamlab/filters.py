@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -57,7 +58,9 @@ class FilterBinding:
     - each command splits into a non-empty argv;
     - the builtin is one of BUILTIN_FILTERS;
     - volume runs at SERVER level;
-    - a builtin runs no trainer command and reads no log.
+    - a builtin runs no trainer command and reads no log;
+    - each option is one its filter class declares, and its text converts
+      to a value in the declared range.
     """
 
     name: str
@@ -66,6 +69,8 @@ class FilterBinding:
     command: str | None = None
     trainer_command: str | None = None
     needs_connection_log: bool = False
+    # option name -> its config text, e.g. {"threshold": "0.9"}
+    options: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         name, where = self.name, f"filter {self.name}"
@@ -78,33 +83,40 @@ class FilterBinding:
         ):
             if text is not None:
                 split_command(where, key, text)
-        if self.builtin is None:
-            return
-        if self.builtin not in BUILTIN_FILTERS:
+        if self.builtin is not None and self.builtin not in BUILTIN_FILTERS:
             raise ConfigInvalid(f"{where}: not a builtin and no external.{name} command")
         if self.builtin == "volume" and self.level is not Level.SERVER:
             raise ConfigInvalid(f"{where}: volume needs level S")
-        if self.trainer_command is not None or self.needs_connection_log:
+        if self.builtin is not None and (
+            self.trainer_command is not None or self.needs_connection_log
+        ):
             unused = "trainer" if self.trainer_command is not None else "connlog"
-            raise ConfigInvalid(
-                f"{where}: {unused}.{name} is for external filters only"
-            )
+            raise ConfigInvalid(f"{where}: {unused}.{name} is for external filters only")
+        self.option_values()
 
     @property
     def needs_training(self) -> bool:
         """Builtin Bayes and external filters with a trainer take training."""
         return self.builtin == "bayes" or self.trainer_command is not None
 
-
-def _check_range(binding, option, value, low, high=None) -> None:
-    """Raise ConfigInvalid naming the option's key unless low <= value,
-    and value <= high when high is given."""
-    if value < low or (high is not None and value > high):
-        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
-        key = f"{binding.name}.{option}"
-        raise ConfigInvalid(
-            f"filter {binding.name}: {key} = {value!r} must be {rule}"
-        )
+    def option_values(self) -> dict:
+        """Convert each option's text as its builtin class's OPTIONS entry
+        (type, lowest, highest or None) declares; raise ConfigInvalid naming
+        the key for an undeclared option or a bad or out-of-range value."""
+        declared = BUILTIN_FILTERS[self.builtin][0].OPTIONS if self.builtin else {}
+        where = f"filter {self.name}"
+        values = {}
+        for option, text in self.options.items():
+            key = f"{self.name}.{option}"
+            if option not in declared:
+                raise ConfigInvalid(f"{where}: unknown option {key}")
+            kind, low, high = declared[option]
+            value = parse_value(where, key, text, kind)
+            if value < low or (high is not None and value > high):
+                rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise ConfigInvalid(f"{where}: {key} = {value!r} must be {rule}")
+            values[option] = value
+        return values
 
 
 class BayesFilterState:
@@ -119,7 +131,8 @@ class BayesFilterState:
     (bayes.classify_memoised).
     """
 
-    OPTIONS = {"n": int, "threshold": float, "min_user_messages": int}
+    OPTIONS = {"n": (int, 1, None), "threshold": (float, 0, 1),
+               "min_user_messages": (int, 0, None)}
 
     def __init__(
         self,
@@ -128,9 +141,6 @@ class BayesFilterState:
         threshold: float = bayes.DEFAULT_THRESHOLD,
         min_user_messages: int = 5,
     ):
-        _check_range(binding, "n", n, 1)
-        _check_range(binding, "threshold", threshold, 0, 1)
-        _check_range(binding, "min_user_messages", min_user_messages, 0)
         self.binding = binding
         self.n = n
         self.threshold = threshold
@@ -171,7 +181,8 @@ class BayesFilterState:
 class VolumeFilterState:
     """Builtin volume filter over its own view of the connection stream."""
 
-    OPTIONS = {"window": int, "threshold": int, "count_recipients": bool}
+    OPTIONS = {"window": (int, 1, None), "threshold": (int, 0, None),
+               "count_recipients": (bool, 0, 1)}
 
     def __init__(
         self,
@@ -180,8 +191,6 @@ class VolumeFilterState:
         threshold: int = bulk.DEFAULT_VOLUME_THRESHOLD,
         count_recipients: bool = False,
     ):
-        _check_range(binding, "window", window, 1)
-        _check_range(binding, "threshold", threshold, 0)
         self.binding = binding
         self.window = bulk.VolumeWindow(
             window_size=window,
@@ -200,12 +209,11 @@ class ChecksumFilterState:
     Memo (body -> digest), so a recurring body is hashed twice in its run.
     """
 
-    OPTIONS = {"threshold": int}
+    OPTIONS = {"threshold": (int, 1, None)}
 
     def __init__(
         self, binding, fuzzy: bool, threshold: int = bulk.DEFAULT_BULK_THRESHOLD
     ):
-        _check_range(binding, "threshold", threshold, 1)
         self.binding = binding
         self.fuzzy = fuzzy
         self.db = bulk.ChecksumDB(bulk_threshold=threshold)
@@ -220,7 +228,7 @@ class ChecksumFilterState:
 class ConstantFilterState:
     """Reference filter that returns one fixed label."""
 
-    OPTIONS: dict[str, type] = {}
+    OPTIONS: dict[str, tuple] = {}
 
     def __init__(self, binding, label: Label):
         self.binding = binding
@@ -237,8 +245,6 @@ class ExternalFilterState:
     copied, once, when the filter is built, so a classify call costs one
     process and no set-up.
     """
-
-    OPTIONS: dict[str, type] = {}
 
     def __init__(self, binding: FilterBinding, log_path=None):
         self.binding = binding
@@ -316,27 +322,15 @@ BUILTIN_FILTERS = {
 }
 
 
-def build_filter(binding: FilterBinding, options: dict | None = None, log_path=None):
-    """Instantiate the stateful filter object for a binding.
-
-    options maps option names to their config text; each is converted to
-    the type in the filter class's OPTIONS table. Raises ConfigInvalid for
-    an option the filter does not have or a value that does not convert.
-    log_path is the connection log that an external filter reading it is
-    pointed at; building one without it raises ValueError.
-    """
+def build_filter(binding: FilterBinding, log_path=None):
+    """Instantiate the stateful filter object for a binding, passing its
+    option values as keyword arguments. log_path is the connection log that
+    an external filter reading it is pointed at; building one without it
+    raises ValueError."""
     if binding.builtin is None:
-        cls, kwargs = ExternalFilterState, {"log_path": log_path}
-    else:
-        cls, fixed = BUILTIN_FILTERS[binding.builtin]
-        kwargs = dict(fixed)
-    where = f"filter {binding.name}"
-    for option, text in (options or {}).items():
-        key = f"{binding.name}.{option}"
-        if option not in cls.OPTIONS:
-            raise ConfigInvalid(f"{where}: unknown option {key}")
-        kwargs[option] = parse_value(where, key, text, cls.OPTIONS[option])
-    return cls(binding, **kwargs)
+        return ExternalFilterState(binding, log_path)
+    cls, fixed = BUILTIN_FILTERS[binding.builtin]
+    return cls(binding, **fixed, **binding.option_values())
 
 
 def classify(filt, m: Message) -> Verdict:

@@ -347,8 +347,11 @@ class TestTokenMemo:
 
     def test_per_user_models_and_verdicts_match_plain_path(self, tmp_path):
         train_stream = seeded_stream(2, 200)
-        binding = FilterBinding(name="bayes", level=Level.USER, builtin="bayes")
-        f = build_filter(binding, {"min_user_messages": "20"})
+        binding = FilterBinding(
+            name="bayes", level=Level.USER, builtin="bayes",
+            options={"min_user_messages": "20"},
+        )
+        f = build_filter(binding)
         ham_paths, spam_paths = emit_training_sets(train_stream, tmp_path)
         train(f, ham_paths[0], spam_paths[0])
         f.train_user_models(train_stream)

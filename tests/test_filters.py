@@ -50,8 +50,12 @@ class TestBindingInvariants:
             ({"level": Level.USER, "builtin": "volume"}, "volume needs level S"),
             ({"level": Level.SERVER, "builtin": "bayes", "trainer_command": "cat"},
              "trainer.v is for external filters only"),
+            ({"level": Level.USER, "builtin": "bayes", "options": {"nn": "3"}},
+             "unknown option v.nn"),
+            ({"level": Level.USER, "command": "cat", "options": {"n": "3"}},
+             "unknown option v.n"),
         ],
-        ids=["volume-at-U", "builtin-trainer"],
+        ids=["volume-at-U", "builtin-trainer", "unknown-option", "external-option"],
     )
     def test_builtin_rules_checked_when_made(self, fields, message):
         with pytest.raises(ConfigInvalid, match=re.escape(f"filter v: {message}")):
@@ -192,10 +196,10 @@ class TestEmitTrainingSets:
         assert spam_paths[0].read_text() == ""
 
     def user_models(self, stream):
-        f = build_filter(
-            FilterBinding(name="bayes", level=Level.USER, builtin="bayes"),
-            {"min_user_messages": "0"},
-        )
+        f = build_filter(FilterBinding(
+            name="bayes", level=Level.USER, builtin="bayes",
+            options={"min_user_messages": "0"},
+        ))
         f.train_user_models(stream)
         return f.user_models
 
@@ -242,8 +246,10 @@ class TestEmitTrainingSets:
 
 
 class TestTrain:
-    def bayes_binding(self):
-        return FilterBinding(name="bayes", level=Level.USER, builtin="bayes")
+    def bayes_binding(self, **options):
+        return FilterBinding(
+            name="bayes", level=Level.USER, builtin="bayes", options=options
+        )
 
     def test_builtin_bayes_trains_from_mboxes(self, tmp_path):
         stream = [
@@ -267,7 +273,7 @@ class TestTrain:
                          subject="offer", truth=Label.SPAM, to=(), bcc=(a, b)),
             make_message(body="pills again", truth=Label.SPAM, to=(a,)),
         ]
-        f = build_filter(self.bayes_binding(), {"min_user_messages": "0"})
+        f = build_filter(self.bayes_binding(min_user_messages="0"))
         f.train_user_models(stream)
         assert sorted(f.user_models) == [a, b]  # c has only ham
         assert f.user_models[b].n_spam_msgs == 1  # b got only the Bcc copy
@@ -354,10 +360,10 @@ class TestBuiltinRegistry:
             )
 
     def test_builtin_options_respected(self):
-        f = build_filter(
-            FilterBinding(name="c", level=Level.USER, builtin="checksum"),
-            {"threshold": "2"},
-        )
+        f = build_filter(FilterBinding(
+            name="c", level=Level.USER, builtin="checksum",
+            options={"threshold": "2"},
+        ))
         assert f.db.bulk_threshold == 2
 
     @pytest.mark.parametrize(
@@ -375,15 +381,19 @@ class TestBuiltinRegistry:
         ],
     )
     def test_out_of_range_options_rejected(self, builtin, option, text, rule):
-        binding = FilterBinding(name="f", level=Level.SERVER, builtin=builtin)
         message = f"filter f: f.{option} = {text} must be {rule}"
         with pytest.raises(ConfigInvalid, match=re.escape(message)):
-            build_filter(binding, {option: text})
+            FilterBinding(
+                name="f", level=Level.SERVER, builtin=builtin,
+                options={option: text},
+            )
 
     def test_range_checked_for_library_callers(self):
-        binding = FilterBinding(name="c", level=Level.SERVER, builtin="checksum")
         with pytest.raises(ConfigInvalid, match="c.threshold = 0"):
-            filters.ChecksumFilterState(binding, fuzzy=False, threshold=0)
+            FilterBinding(
+                name="c", level=Level.SERVER, builtin="checksum",
+                options={"threshold": "0"},
+            )
 
     @pytest.mark.parametrize(
         "builtin, options",
@@ -396,5 +406,6 @@ class TestBuiltinRegistry:
         ],
     )
     def test_range_edges_accepted(self, builtin, options):
-        binding = FilterBinding(name="f", level=Level.SERVER, builtin=builtin)
-        build_filter(binding, options)
+        build_filter(FilterBinding(
+            name="f", level=Level.SERVER, builtin=builtin, options=options
+        ))

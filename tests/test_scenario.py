@@ -1,8 +1,11 @@
 import gc
+import os
 import shlex
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -49,9 +52,9 @@ class TestScenarioLoading:
         path = scenario_builder(tmp_path)
         with open(path, "a") as fh:
             fh.write("bayes.threshold = 0.8\nvolume.threshold = 4\n")
-        scenario = load_scenario(path)
-        assert scenario.filter_options["bayes"]["threshold"] == "0.8"
-        assert scenario.filter_options["volume"]["threshold"] == "4"
+        bayes, volume = load_scenario(path).filters[:2]
+        assert bayes.options["threshold"] == "0.8"
+        assert volume.options["threshold"] == "4"
 
     def test_bool_option_spellings_and_outside_options(
         self, tmp_path, scenario_builder
@@ -67,9 +70,8 @@ class TestScenarioLoading:
             )
         scenario = load_scenario(path)
         volume = scenario.filters[1]
-        built = build_filter(volume, scenario.filter_options[volume.name])
-        assert built.window.count_recipients is True
-        assert "checksum" not in scenario.filter_options
+        assert build_filter(volume).window.count_recipients is True
+        assert all("threshold" not in b.options for b in scenario.filters)
 
 
 class TestRunScenario:
@@ -328,6 +330,106 @@ class TestSideBySideWrappers:
         assert set(threading.enumerate()) == before
 
 
+# id -> (overrides, text appended to scenario.cfg, the error's message);
+# overrides go to sim.cfg for its keys and to scenario.cfg for the rest
+BAD_VALUES = {
+    "volume-at-U": ({"filters": "volume U"}, "", "volume needs level S"),
+    "connlog-at-U": (
+        {"filters": "ext U"}, "external.ext = cat\nconnlog.ext = true\n",
+        "connlog.ext needs level S",
+    ),
+    "training_steps": ({"training_steps": "abc"}, "", "training_steps = 'abc'"),
+    "eval_steps": ({"eval_steps": "abc"}, "", "eval_steps = 'abc'"),
+    "bayes.n": ({}, "bayes.n = abc\n", "bayes.n = 'abc'"),
+    "bayes.threshold": ({}, "bayes.threshold = abc\n", "bayes.threshold = 'abc'"),
+    "volume.window": ({}, "volume.window = abc\n", "volume.window = 'abc'"),
+    "checksum.threshold": (
+        {}, "checksum-fuzzy.threshold = x\n",
+        "checksum-fuzzy.threshold = 'x'",
+    ),
+    "unknown-key": ({}, "eval_stepz = 3\n", "unknown key 'eval_stepz'"),
+    "unknown-option": ({}, "bayes.thresold = 0.8\n", "unknown option bayes.thresold"),
+    "bad-bool": ({"personalized": "flase"}, "", "personalized = 'flase'"),
+    "bad-bool-option": (
+        {}, "volume.count_recipients = maybe\n",
+        "volume.count_recipients = 'maybe'",
+    ),
+    "no-training": (
+        {"training_steps": 0}, "",
+        "filter bayes: the training stream has no spam and no ham",
+    ),
+    "empty-command": (
+        {"filters": "ext U"}, "external.ext =\n",
+        "external.ext is empty",
+    ),
+    "unbalanced-command": (
+        {"filters": "ext U"}, "external.ext = 'abc\n",
+        "external.ext = \"'abc\": No closing quotation",
+    ),
+    "empty-trainer": (
+        {"filters": "ext U"}, "external.ext = cat\ntrainer.ext =\n",
+        "trainer.ext is empty",
+    ),
+    "unbalanced-trainer": (
+        {"filters": "ext U"}, "external.ext = cat\ntrainer.ext = 'abc\n",
+        "trainer.ext = \"'abc\": No closing quotation",
+    ),
+    "builtin-trainer": (
+        {"filters": "pass-all U"}, "trainer.pass-all = no-such-trainer\n",
+        "trainer.pass-all is for external filters only",
+    ),
+    "builtin-connlog-volume": (
+        {}, "connlog.volume = true\n",
+        "connlog.volume is for external filters only",
+    ),
+    "builtin-connlog-bayes": (
+        {"filters": "bayes S"}, "connlog.bayes = true\n",
+        "connlog.bayes is for external filters only",
+    ),
+    "sim-nan": ({"sigma": "nan"}, "", "sigma = 'nan' is not a finite float"),
+    "sim-inf": ({"sigma": "inf"}, "", "sigma = 'inf' is not a finite float"),
+    "sim-nan-mean": (
+        {"recipients_mean": "nan"}, "",
+        "recipients_mean = 'nan' is not a finite float",
+    ),
+    "option-inf": (
+        {}, "bayes.threshold = -inf\n",
+        "bayes.threshold = '-inf' is not a finite float",
+    ),
+    "sim-huge-sigma": ({"sigma": "1e308"}, "", "sigma must be <= 1e+12"),
+    "sim-huge-mean": (
+        {"recipients_mean": "1e17"}, "",
+        "recipients_mean must be <= 1e+12",
+    ),
+    "reserved-filter-name": (
+        {"filters": "trainer U bayes"}, "trainer.threshold = abc\n",
+        "filter trainer: 'trainer' is reserved for trainer.<filter> keys",
+    ),
+    "bayes.n-range": ({}, "bayes.n = -5\n", "bayes.n = -5 must be >= 1"),
+    "volume.window-range": (
+        {}, "volume.window = 0\n",
+        "volume.window = 0 must be >= 1",
+    ),
+    "checksum.threshold-range": (
+        {}, "checksum-fuzzy.threshold = -1\n",
+        "checksum-fuzzy.threshold = -1 must be >= 1",
+    ),
+    "sim-send_prob-range": ({"send_prob": 15}, "", "send_prob must be in [0, 1]"),
+    "sim-activation_prob-range": (
+        {"activation_prob": -3}, "",
+        "activation_prob must be in [0, 1]",
+    ),
+    "builtin-and-command": (
+        {"filters": "foo U bayes"}, "external.foo = cat\n",
+        "filter foo: needs exactly one of builtin or command",
+    ),
+    "dotted-name": (
+        {"filters": "x.y S checksum"}, "x.y.threshold = 0\n",
+        "filter x.y: 'x.y' may not contain '.'",
+    ),
+}
+
+
 class TestCli:
     def test_run_verb(self, tmp_path, scenario_builder, capsys):
         path = scenario_builder(
@@ -451,73 +553,17 @@ class TestCli:
             assert err.count("\n") == 1
             assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "overrides, extra, expect",
-        [
-            ({"filters": "volume U"}, "", "volume needs level S"),
-            ({"filters": "ext U"}, "external.ext = cat\nconnlog.ext = true\n",
-             "connlog.ext needs level S"),
-            ({"training_steps": "abc"}, "", "training_steps = 'abc'"),
-            ({"eval_steps": "abc"}, "", "eval_steps = 'abc'"),
-            ({}, "bayes.n = abc\n", "bayes.n = 'abc'"),
-            ({}, "bayes.threshold = abc\n", "bayes.threshold = 'abc'"),
-            ({}, "volume.window = abc\n", "volume.window = 'abc'"),
-            ({}, "checksum-fuzzy.threshold = x\n", "checksum-fuzzy.threshold = 'x'"),
-            ({}, "eval_stepz = 3\n", "unknown key 'eval_stepz'"),
-            ({}, "bayes.thresold = 0.8\n", "unknown option bayes.thresold"),
-            ({"personalized": "flase"}, "", "personalized = 'flase'"),
-            ({}, "volume.count_recipients = maybe\n",
-             "volume.count_recipients = 'maybe'"),
-            ({"training_steps": 0}, "",
-             "filter bayes: the training stream has no spam and no ham"),
-            ({"filters": "ext U"}, "external.ext =\n", "external.ext is empty"),
-            ({"filters": "ext U"}, "external.ext = 'abc\n",
-             "external.ext = \"'abc\": No closing quotation"),
-            ({"filters": "ext U"}, "external.ext = cat\ntrainer.ext =\n",
-             "trainer.ext is empty"),
-            ({"filters": "ext U"}, "external.ext = cat\ntrainer.ext = 'abc\n",
-             "trainer.ext = \"'abc\": No closing quotation"),
-            ({"filters": "pass-all U"}, "trainer.pass-all = no-such-trainer\n",
-             "trainer.pass-all is for external filters only"),
-            ({}, "connlog.volume = true\n",
-             "connlog.volume is for external filters only"),
-            ({"filters": "bayes S"}, "connlog.bayes = true\n",
-             "connlog.bayes is for external filters only"),
-            ({"sigma": "nan"}, "", "sigma = 'nan' is not a finite float"),
-            ({"sigma": "inf"}, "", "sigma = 'inf' is not a finite float"),
-            ({"recipients_mean": "nan"}, "",
-             "recipients_mean = 'nan' is not a finite float"),
-            ({}, "bayes.threshold = -inf\n",
-             "bayes.threshold = '-inf' is not a finite float"),
-            ({"sigma": "1e308"}, "", "sigma must be <= 1e+12"),
-            ({"recipients_mean": "1e17"}, "", "recipients_mean must be <= 1e+12"),
-            ({"filters": "trainer U bayes"}, "trainer.threshold = abc\n",
-             "filter trainer: 'trainer' is reserved for trainer.<filter> keys"),
-            ({}, "bayes.n = -5\n", "bayes.n = -5 must be >= 1"),
-            ({}, "volume.window = 0\n", "volume.window = 0 must be >= 1"),
-            ({}, "checksum-fuzzy.threshold = -1\n",
-             "checksum-fuzzy.threshold = -1 must be >= 1"),
-            ({"send_prob": 15}, "", "send_prob must be in [0, 1]"),
-            ({"activation_prob": -3}, "", "activation_prob must be in [0, 1]"),
-        ],
-        ids=[
-            "volume-at-U", "connlog-at-U", "training_steps", "eval_steps",
-            "bayes.n", "bayes.threshold", "volume.window", "checksum.threshold",
-            "unknown-key", "unknown-option", "bad-bool", "bad-bool-option",
-            "no-training", "empty-command", "unbalanced-command",
-            "empty-trainer", "unbalanced-trainer", "builtin-trainer",
-            "builtin-connlog-volume", "builtin-connlog-bayes",
-            "sim-nan", "sim-inf", "sim-nan-mean", "option-inf",
-            "sim-huge-sigma", "sim-huge-mean", "reserved-filter-name",
-            "bayes.n-range", "volume.window-range", "checksum.threshold-range",
-            "sim-send_prob-range", "sim-activation_prob-range",
-        ],
-    )
-    def test_run_verb_reports_bad_values(
-        self, tmp_path, scenario_builder, capsys, overrides, extra, expect
-    ):
-        """overrides go to sim.cfg for its keys and to scenario.cfg for the
-        rest; extra is appended to scenario.cfg."""
+    def test_module_entry_point(self, tmp_path):
+        src = Path(evalcli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "spamlab", "report", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def bad_scenario(self, tmp_path, scenario_builder, overrides, extra):
         sim = {k: v for k, v in overrides.items() if k in DEFAULT_SIM}
         scenario = {k: v for k, v in overrides.items() if k not in sim}
         path = scenario_builder(
@@ -527,8 +573,35 @@ class TestCli:
         )
         with open(path, "a") as fh:
             fh.write(extra)
+        return path
+
+    @pytest.mark.parametrize(
+        "overrides, extra, expect", list(BAD_VALUES.values()), ids=list(BAD_VALUES)
+    )
+    def test_run_verb_reports_bad_values(
+        self, tmp_path, scenario_builder, capsys, overrides, extra, expect
+    ):
+        path = self.bad_scenario(tmp_path, scenario_builder, overrides, extra)
         assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expect in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, extra, expect",
+        [case for id_, case in BAD_VALUES.items() if id_ != "no-training"],
+        ids=[id_ for id_ in BAD_VALUES if id_ != "no-training"],
+    )
+    def test_calibrate_verb_reports_what_run_does(
+        self, tmp_path, scenario_builder, capsys, overrides, extra, expect
+    ):
+        """Every config error that run reports, calibrate reports too;
+        no-training is found only by running."""
+        path = self.bad_scenario(tmp_path, scenario_builder, overrides, extra)
+        out = tmp_path / "calibrated.cfg"
+        assert main(["calibrate", str(path), "-o", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expect in err, err
+        assert err.count("\n") == 1
