@@ -17,7 +17,6 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 from . import trafficgen
 from .corpus import Label, load_corpus
@@ -43,8 +42,6 @@ from .filters import (
 from .trafficgen import SimConfig, World, parse_kv, parse_value, step
 
 DEFAULT_EPSILON = 0.01
-DEFAULT_TRAINING_STEPS = 2000
-DEFAULT_EVAL_STEPS = 10000
 
 
 @dataclass
@@ -136,31 +133,29 @@ def rank(results: list[FilterResult]) -> list[FilterResult]:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One evaluation configuration: corpora, traffic, filters, phases."""
+    """One evaluation configuration: corpora, traffic, filters, phases. It
+    is checked when made: RANGES, at least one filter, unique filter names."""
+
+    RANGES = {"training_steps": (0, None), "eval_steps": (1, None)}
 
     name: str
     spam_corpus: str
     ham_corpus: str
-    level: Level
     sim: SimConfig
-    filters: list[FilterBinding]
-    training_steps: int = DEFAULT_TRAINING_STEPS
-    eval_steps: int = DEFAULT_EVAL_STEPS
+    filters: tuple[FilterBinding, ...]
+    training_steps: int = 2000
+    eval_steps: int = 10000
     personalized: bool = False
     bogus_headers: bool = False
     random_words: bool = False
 
-    def validate(self) -> None:
-        if self.training_steps < 0:
-            raise ConfigInvalid("training_steps must be >= 0")
-        if self.eval_steps < 1:
-            raise ConfigInvalid("eval_steps must be >= 1")
+    def __post_init__(self):
+        trafficgen.check_ranges(self)
         if not self.filters:
             raise ConfigInvalid("at least one filter is required")
-        names = [b.name for b in self.filters]
-        if len(set(names)) != len(names):
+        if len({b.name for b in self.filters}) < len(self.filters):
             raise ConfigInvalid("filter names must be unique")
 
 
@@ -205,46 +200,29 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario config file."""
+    """Load a scenario config file; the Scenario checks itself."""
     path = Path(path)
     values = parse_kv(path)
     for key in ("spam_corpus", "ham_corpus", "sim", "filters"):
         if key not in values:
             raise ConfigInvalid(f"{path}: missing key {key!r}")
-    # each Scenario field is a top-level key; every other key is dotted
-    # and belongs to a filter
-    kinds = get_type_hints(Scenario)
-    for key in values:
-        if "." not in key and key not in kinds:
-            raise ConfigInvalid(f"{path}: unknown key {key!r}")
-    base = path.parent
     try:
         level = Level(values.get("level", "U").upper())
     except ValueError:
         raise ConfigInvalid(f"{path}: bad level {values['level']!r}")
-    sim = trafficgen.load_sim_config(base / values["sim"])
-
-    bindings = [
-        _parse_filter_entry(entry.strip(), values, level)
-        for entry in values["filters"].split(";")
-        if entry.strip()
-    ]
-
-    scenario = Scenario(
-        name=values.get("name", path.stem),
-        spam_corpus=str(base / values["spam_corpus"]),
-        ham_corpus=str(base / values["ham_corpus"]),
-        level=level,
-        sim=sim,
-        filters=bindings,
-        **{
-            key: parse_value(path, key, text, kinds[key])
-            for key, text in values.items()
-            if kinds.get(key) in (int, float, bool)
-        },
-    )
-    scenario.validate()
-    return scenario
+    base = path.parent
+    made = {
+        "name": values.get("name", path.stem),
+        "spam_corpus": str(base / values["spam_corpus"]),
+        "ham_corpus": str(base / values["ham_corpus"]),
+        "sim": trafficgen.load_sim_config(base / values["sim"]),
+        "filters": tuple(_parse_filter_entry(entry.strip(), values, level)
+                         for entry in values["filters"].split(";") if entry.strip()),
+    }
+    # any other top-level key but level is a typed field; dotted keys are filters'
+    typed = {key: text for key, text in values.items()
+             if "." not in key and key not in made and key != "level"}
+    return trafficgen.read_config(path, Scenario, typed, **made)
 
 
 def _load_ham_corpora(root: str):
@@ -353,7 +331,6 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     but the last runs on its own thread, so a lineup's wrapper processes
     run side by side; each filter still sees one message at a time.
     """
-    scenario.validate()
     out = Path(out_dir)
     log_path = out / "connections.log"
     filters = [build_filter(b, log_path) for b in scenario.filters]

@@ -22,7 +22,7 @@ from . import bayes, bulk
 from .corpus import Label, Message, Verdict, render_message, write_mbox
 from .errors import ConfigInvalid, IoFailure, TrainerFailed, WrapperCrashed
 from .memo import Memo
-from .trafficgen import parse_value
+from .trafficgen import check_range, parse_value
 
 CONNLOG_ENV_VAR = "SPAMLAB_CONNLOG"
 
@@ -111,11 +111,8 @@ class FilterBinding:
             if option not in declared:
                 raise ConfigInvalid(f"{where}: unknown option {key}")
             kind, low, high = declared[option]
-            value = parse_value(where, key, text, kind)
-            if value < low or (high is not None and value > high):
-                rule = f">= {low}" if high is None else f"in [{low}, {high}]"
-                raise ConfigInvalid(f"{where}: {key} = {value!r} must be {rule}")
-            values[option] = value
+            values[option] = parse_value(where, key, text, kind)
+            check_range(where, key, values[option], low, high)
         return values
 
 

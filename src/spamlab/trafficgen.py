@@ -32,6 +32,9 @@ from .errors import (
 # and 1 - 1/recipients_mean rounds to 1
 SIM_SCALE_MAX = 1e12
 
+# draws in a row that add no recipient before select_recipients gives up (~1 s)
+REDRAW_LIMIT = 1_000_000
+
 # calibration bisects until the pilot is within half the tolerance
 CALIBRATION_TOLERANCE = 0.02
 CALIBRATION_STEPS = 26
@@ -49,9 +52,15 @@ _FAKE_DOMAINS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Traffic topology and rate knobs; read from a key = value file."""
+    """Traffic topology and rate knobs; read from a key = value file. It
+    is checked when made: each field but seed is in its RANGES entry, sigma > 0."""
+
+    RANGES = {"n_users": (2, None), "n_mailing_lists": (0, None), "n_spammers": (0, None),
+              "sigma": (0, SIM_SCALE_MAX), "steps": (1, None), "target_spam_fraction": (0, 1),
+              "recipients_mean": (0, SIM_SCALE_MAX), "send_prob": (0, 1),
+              "activation_prob": (0, 1), "burst_rate": (1, None), "spammer_db_size": (0, None)}
 
     n_users: int = 500
     n_mailing_lists: int = 5
@@ -66,29 +75,14 @@ class SimConfig:
     burst_rate: int = 50
     spammer_db_size: int = 20
 
-    def validate(self) -> None:
-        for name, kind in get_type_hints(SimConfig).items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ConfigInvalid(f"{name} must be finite")
+    def __post_init__(self):
+        check_ranges(self)
         if self.sigma <= 0:
-            raise ConfigInvalid("sigma must be > 0")
-        for name in ("sigma", "recipients_mean"):
-            if getattr(self, name) > SIM_SCALE_MAX:
-                raise ConfigInvalid(f"{name} must be <= {SIM_SCALE_MAX:g}")
-        if self.n_users < 2:
-            raise ConfigInvalid("n_users must be >= 2")
-        for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
-            if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
-        for name in ("target_spam_fraction", "send_prob", "activation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigInvalid(f"{name} must be in [0, 1]")
-        if self.burst_rate < 1:
-            raise ConfigInvalid("burst_rate must be >= 1")
+            raise ConfigInvalid(f"sigma = {self.sigma!r} must be > 0")
 
 
 def parse_kv(path) -> dict[str, str]:
-    """Parse a "key = value" config file; '#' lines are comments."""
+    """Parse a "key = value" config file; '#' lines are comments, and no key repeats."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -101,7 +95,10 @@ def parse_kv(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigInvalid(f"{path}: expected 'key = value', got {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigInvalid(f"{path}: repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -126,17 +123,42 @@ def parse_value(where, key: str, text: str, kind: type):
     return value
 
 
-def load_sim_config(path) -> SimConfig:
-    """Load a SimConfig from a key = value file and validate it."""
-    kinds = get_type_hints(SimConfig)
-    kwargs = {}
-    for key, text in parse_kv(path).items():
+def check_range(where, key: str, value, low, high=None) -> None:
+    """The range rule of every config value: finite, then in [low, high] (or
+    >= low when high is None); raises "[<where>: ]<key> = <value> must be <rule>"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        rule = "finite"
+    elif value < low or (high is not None and value > high):
+        rule = f">= {low:g}" if high is None else f"in [{low:g}, {high:g}]"
+    else:
+        return
+    prefix = "" if where is None else f"{where}: "
+    raise ConfigInvalid(f"{prefix}{key} = {value!r} must be {rule}")
+
+
+def check_ranges(config) -> None:
+    """Check each field that config's RANGES declares (a dataclass's rule)."""
+    for key, (low, high) in config.RANGES.items():
+        check_range(None, key, getattr(config, key), low, high)
+
+
+def read_config(path, cls, values: dict[str, str], **made):
+    """Make a cls from the fields in made and a config file's values, each
+    converted by parse_value to its field's type hint; every error names path."""
+    kinds = get_type_hints(cls)
+    for key, text in values.items():
         if key not in kinds:
             raise ConfigInvalid(f"{path}: unknown key {key!r}")
-        kwargs[key] = parse_value(path, key, text, kinds[key])
-    config = SimConfig(**kwargs)
-    config.validate()
-    return config
+        made[key] = parse_value(path, key, text, kinds[key])
+    try:
+        return cls(**made)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from None
+
+
+def load_sim_config(path) -> SimConfig:
+    """Load a SimConfig from a key = value file."""
+    return read_config(path, SimConfig, parse_kv(path))
 
 
 def write_sim_config(config: SimConfig, path) -> None:
@@ -204,17 +226,22 @@ def select_recipients(sender_index, n_users, sigma, k, rng) -> list[int]:
 
     Each draw is (sender_index + round(o)) mod n_users with o from
     Normal(0, sigma^2); draws that land on the sender or on an already
-    selected index are redrawn. k < n_users guarantees termination.
+    selected index are redrawn. ConfigInvalid ends a pick after REDRAW_LIMIT
+    draws in a row add no recipient, as they never can for k >= n_users.
     """
-    if k >= n_users:
-        raise ValueError("k must be < n_users")
     chosen: list[int] = []
     taken = {sender_index}
+    misses = 0
     while len(chosen) < k:
         offset = _round_away(rng.normalvariate(0.0, sigma))
         idx = (sender_index + offset) % n_users
         if idx in taken:
+            misses += 1
+            if misses == REDRAW_LIMIT:
+                raise ConfigInvalid(f"sigma = {sigma!r} cannot reach k = {k} distinct"
+                                    f" recipients of n_users = {n_users}")
             continue
+        misses = 0
         taken.add(idx)
         chosen.append(idx)
     return chosen
@@ -294,7 +321,6 @@ class World:
         bogus_headers: bool = False,
         random_words: bool = False,
     ):
-        config.validate()
         if not ham_corpora:
             raise ConfigInvalid("at least one ham corpus is required")
         if config.n_spammers > 0 and spam_corpus is None:
@@ -657,7 +683,6 @@ def calibrate_spam_fraction(
     per-draw dry run exactly, so the calibrated values are the ones a
     pilot that draws afresh for each multiplier gives.
     """
-    config.validate()
     if pilot_steps is None:
         pilot_steps = max(500, config.steps)
     target = config.target_spam_fraction

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import shlex
@@ -34,6 +35,17 @@ class TestScenarioLoading:
         assert bayes.needs_training and bayes.level is Level.USER
         volume = scenario.filters[1]
         assert volume.level is Level.SERVER and not volume.needs_connection_log
+
+    def test_scenario_is_checked_when_made(self, tmp_path, scenario_builder):
+        scenario = load_scenario(scenario_builder(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.eval_steps = 0
+        with pytest.raises(ConfigInvalid, match=r"^training_steps = -1 must be >= 0$"):
+            dataclasses.replace(scenario, training_steps=-1)
+        with pytest.raises(ConfigInvalid, match="filter names must be unique"):
+            dataclasses.replace(scenario, filters=scenario.filters[:1] * 2)
+        with pytest.raises(ConfigInvalid, match="at least one filter is required"):
+            dataclasses.replace(scenario, filters=())
 
     def test_missing_keys_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -396,10 +408,20 @@ BAD_VALUES = {
         {}, "bayes.threshold = -inf\n",
         "bayes.threshold = '-inf' is not a finite float",
     ),
-    "sim-huge-sigma": ({"sigma": "1e308"}, "", "sigma must be <= 1e+12"),
+    "sim-huge-sigma": (
+        {"sigma": "1e308"}, "", "sim.cfg: sigma = 1e+308 must be in [0, 1e+12]",
+    ),
     "sim-huge-mean": (
         {"recipients_mean": "1e17"}, "",
-        "recipients_mean must be <= 1e+12",
+        "sim.cfg: recipients_mean = 1e+17 must be in [0, 1e+12]",
+    ),
+    "sim-zero-sigma": ({"sigma": 0}, "", "sim.cfg: sigma = 0.0 must be > 0"),
+    "steps": ({"steps": -5}, "", "sim.cfg: steps = -5 must be >= 1"),
+    "eval_steps-range": (
+        {"eval_steps": 0}, "", "scenario.cfg: eval_steps = 0 must be >= 1",
+    ),
+    "duplicate-key": (
+        {}, "eval_steps = 50\n", "scenario.cfg: repeated key 'eval_steps'",
     ),
     "reserved-filter-name": (
         {"filters": "trainer U bayes"}, "trainer.threshold = abc\n",
@@ -414,10 +436,12 @@ BAD_VALUES = {
         {}, "checksum-fuzzy.threshold = -1\n",
         "checksum-fuzzy.threshold = -1 must be >= 1",
     ),
-    "sim-send_prob-range": ({"send_prob": 15}, "", "send_prob must be in [0, 1]"),
+    "sim-send_prob-range": (
+        {"send_prob": 15}, "", "sim.cfg: send_prob = 15.0 must be in [0, 1]",
+    ),
     "sim-activation_prob-range": (
         {"activation_prob": -3}, "",
-        "activation_prob must be in [0, 1]",
+        "sim.cfg: activation_prob = -3.0 must be in [0, 1]",
     ),
     "builtin-and-command": (
         {"filters": "foo U bayes"}, "external.foo = cat\n",
@@ -427,7 +451,13 @@ BAD_VALUES = {
         {"filters": "x.y S checksum"}, "x.y.threshold = 0\n",
         "filter x.y: 'x.y' may not contain '.'",
     ),
+    # every offset rounds to 0, the sender: the first send cannot pick anyone
+    "sigma-unreachable": (
+        {"sigma": 0.01}, "", "sigma = 0.01 cannot reach k = ",
+    ),
 }
+# the cases found only by running: calibrate generates no stream
+RUN_ONLY = ("no-training", "sigma-unreachable")
 
 
 class TestCli:
@@ -587,17 +617,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expect in err, err
         assert "Traceback" not in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "overrides, extra, expect",
-        [case for id_, case in BAD_VALUES.items() if id_ != "no-training"],
-        ids=[id_ for id_ in BAD_VALUES if id_ != "no-training"],
+        [case for id_, case in BAD_VALUES.items() if id_ not in RUN_ONLY],
+        ids=[id_ for id_ in BAD_VALUES if id_ not in RUN_ONLY],
     )
     def test_calibrate_verb_reports_what_run_does(
         self, tmp_path, scenario_builder, capsys, overrides, extra, expect
     ):
         """Every config error that run reports, calibrate reports too;
-        no-training is found only by running."""
+        the RUN_ONLY cases are found only by running."""
         path = self.bad_scenario(tmp_path, scenario_builder, overrides, extra)
         out = tmp_path / "calibrated.cfg"
         assert main(["calibrate", str(path), "-o", str(out)]) == 1

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -176,6 +178,29 @@ class TestSelectRecipients:
     def test_rounding_is_half_away_from_zero(self):
         assert select_recipients(5, 100, 1.0, 1, SequenceRng([2.5])) == [8]
         assert select_recipients(5, 100, 1.0, 1, SequenceRng([-2.5])) == [2]
+
+    def test_redraws_are_bounded_in_a_row(self, monkeypatch):
+        monkeypatch.setattr(trafficgen, "REDRAW_LIMIT", 3)
+        rng = SequenceRng([0.0, 0.0, 1.0, 1.0, 0.0, 2.0])
+        assert select_recipients(5, 10, 1.0, 2, rng) == [6, 7]
+        with pytest.raises(ConfigInvalid):
+            select_recipients(5, 10, 1.0, 2, SequenceRng([1.0, 0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("n_users, sigma, k", [
+        (40, 0.01, 1),  # every offset rounds to 0, the sender
+        (500, 10.0, 499),  # users 250 away are 25 sigma out
+        (10, 1.0, 10),  # k >= n_users
+    ])
+    def test_unreachable_recipients_raise(self, n_users, sigma, k):
+        expect = (f"sigma = {sigma!r} cannot reach k = {k} distinct recipients"
+                  f" of n_users = {n_users}")
+        with pytest.raises(ConfigInvalid, match=re.escape(expect)):
+            select_recipients(5, n_users, sigma, k, random.Random(1))
+
+    def test_slow_valid_pick_completes(self):
+        # its longest run of draws that add no one stays far below the bound
+        chosen = select_recipients(5, 40, 5.0, 39, random.Random(3))
+        assert sorted(chosen) == [i for i in range(40) if i != 5]
 
     def test_locality_mass_within_three_sigma(self):
         # Monte-Carlo oracle: P(|offset| <= 9 | offset != 0) for sigma=3
@@ -539,20 +564,36 @@ class TestSimConfigFile:
             load_sim_config(path)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            SimConfig(sigma=0.0).validate()
-        with pytest.raises(ConfigInvalid, match=r"send_prob must be in \[0, 1\]"):
+        with pytest.raises(ConfigInvalid, match=r"^sigma = 0\.0 must be > 0$"):
+            SimConfig(sigma=0.0)
+        with pytest.raises(ConfigInvalid, match=r"send_prob = 7\.0 must be in \[0, 1\]"):
             SimConfig(n_users=10, n_mailing_lists=0, n_spammers=1, send_prob=7.0,
-                      activation_prob=-3.0).validate()
-        with pytest.raises(ConfigInvalid, match=r"activation_prob must be in \[0, 1\]"):
-            SimConfig(activation_prob=-3.0).validate()
-        with pytest.raises(ConfigInvalid):
-            SimConfig(n_users=1).validate()
-        with pytest.raises(ConfigInvalid):
-            SimConfig(target_spam_fraction=1.5).validate()
+                      activation_prob=-3.0)
+        with pytest.raises(ConfigInvalid,
+                           match=r"activation_prob = -3\.0 must be in \[0, 1\]"):
+            SimConfig(activation_prob=-3.0)
+        with pytest.raises(ConfigInvalid, match=r"n_users = 1 must be >= 2"):
+            SimConfig(n_users=1)
+        with pytest.raises(ConfigInvalid,
+                           match=r"target_spam_fraction = 1\.5 must be in \[0, 1\]"):
+            SimConfig(target_spam_fraction=1.5)
         for name in ("n_mailing_lists", "n_spammers", "spammer_db_size"):
-            with pytest.raises(ConfigInvalid, match=name):
-                SimConfig(**{name: -5}).validate()
+            with pytest.raises(ConfigInvalid, match=f"{name} = -5 must be >= 0"):
+                SimConfig(**{name: -5})
+        with pytest.raises(ConfigInvalid, match=r"steps = -5 must be >= 1"):
+            SimConfig(steps=-5)
+
+    def test_every_field_but_seed_has_a_range(self):
+        names = {f.name for f in dataclasses.fields(SimConfig)}
+        assert set(SimConfig.RANGES) == names - {"seed"}
+
+    def test_fields_cannot_be_assigned(self):
+        config = SimConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.send_prob = 7.0
+        assert replace(config, send_prob=0.5).send_prob == 0.5
+        with pytest.raises(ConfigInvalid, match="send_prob = 7.0 must be"):
+            replace(config, send_prob=7.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
@@ -560,19 +601,20 @@ class TestSimConfigFile:
         "activation_prob",
     ])
     def test_non_finite_floats_rejected(self, name, value):
-        with pytest.raises(ConfigInvalid, match=f"{name} must be finite"):
-            SimConfig(**{name: value}).validate()
+        with pytest.raises(ConfigInvalid, match=f"^{name} = {value!r} must be finite$"):
+            SimConfig(**{name: value})
 
     def test_huge_sigma_rejected(self):
         # normalvariate(0, 1e308) overflows to inf, which no index rounds to
-        with pytest.raises(ConfigInvalid, match="sigma must be <= 1e"):
-            build_world(SimConfig(n_users=40, sigma=1e308))
+        with pytest.raises(ConfigInvalid,
+                           match=r"sigma = 1e\+308 must be in \[0, 1e\+12\]"):
+            SimConfig(n_users=40, sigma=1e308)
 
     def test_huge_recipients_mean_rejected(self):
         # 1 - 1/1e17 rounds to 1, so the geometric draw would divide by 0
-        config = SimConfig(n_users=20, steps=10, recipients_mean=1e17)
-        with pytest.raises(ConfigInvalid, match="recipients_mean must be <= 1e"):
-            calibrate_spam_fraction(config)
+        with pytest.raises(ConfigInvalid,
+                           match=r"recipients_mean = 1e\+17 must be in \[0, 1e\+12\]"):
+            SimConfig(n_users=20, steps=10, recipients_mean=1e17)
 
     def test_scales_at_the_bound_run(self):
         config = SimConfig(
