@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import queue
 import random
 import sys
 import threading
@@ -42,6 +43,8 @@ from .filters import (
 from .trafficgen import SimConfig, World, parse_kv, parse_value, step
 
 DEFAULT_EPSILON = 0.01
+# messages an external filter that reads no log may trail the stream by
+TRAIL = 64
 
 
 @dataclass
@@ -281,43 +284,29 @@ def _train_filters(filters, stream, out_dir):
             f.train_user_models(stream)
 
 
-def _classify_into(outcomes, f, m) -> None:
-    """Store f's verdict on m in outcomes, or the exception it raised."""
+def _tally(f, m, counts, errors) -> None:
+    """Record f's verdict on m in counts, or its wrapper crash in errors.
+    Only the thread that classifies with f writes f's entries."""
     try:
-        outcomes[f.binding.name] = classify(f, m)
-    except BaseException as exc:  # raised by the caller once threads are joined
-        outcomes[f.binding.name] = exc
+        counts[f.binding.name].record(m.truth, classify(f, m).label)
+    except WrapperCrashed:
+        errors[f.binding.name] += 1
 
 
-def _classify_message(filters, side, m, counts, errors) -> None:
-    """Classify m with every filter and record each verdict or wrapper crash.
-
-    Each filter in side classifies on a short-lived thread of its own
-    while this thread classifies the rest, so their wrapper processes run
-    at the same time. Every thread is joined before any exception other
-    than WrapperCrashed is raised.
-    """
-    outcomes: dict[str, object] = {}
-    threads = [
-        threading.Thread(target=_classify_into, args=(outcomes, f, m))
-        for f in side
-    ]
-    for t in threads:
-        t.start()
-    for f in filters:
-        if f not in side:
-            _classify_into(outcomes, f, m)
-    for t in threads:
-        t.join()
-    for f in filters:
-        name = f.binding.name
-        outcome = outcomes[name]
-        if isinstance(outcome, WrapperCrashed):
-            errors[name] += 1
-        elif isinstance(outcome, BaseException):
-            raise outcome
-        else:
-            counts[name].record(m.truth, outcome.label)
+def _work(f, position, inbox, counts, errors, failures) -> None:
+    """Classify each (index, message) taken from inbox with f, until None.
+    After its first failure f classifies nothing more but still takes each
+    message, so a put on its full inbox cannot block for ever."""
+    failed = False
+    while (item := inbox.get()) is not None:
+        index, m = item
+        if not failed:
+            try:
+                _tally(f, m, counts, errors)
+            except BaseException as exc:  # raised by run_scenario after the join
+                failures.append((index, position, exc))
+                failed = True
+        inbox.task_done()
 
 
 def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
@@ -327,9 +316,13 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     filters; phase 2 generates eval_steps, maintains the connection log,
     classifies every message with every filter in stream order, and
     accumulates confusion counts. Wrapper crashes are tallied per filter
-    and excluded from the counts. On each message every external filter
-    but the last runs on its own thread, so a lineup's wrapper processes
-    run side by side; each filter still sees one message at a time.
+    and excluded from the counts. Each external filter classifies on one
+    worker thread for the whole run, builtins on this one. A log reader
+    finishes each message before the log gets the next line; other
+    wrappers may trail the stream by up to TRAIL messages. Any other
+    exception stops the stream and, once every worker is joined, the one
+    of the earliest (message, lineup position) is raised; the log may
+    then hold lines past that message.
     """
     out = Path(out_dir)
     log_path = out / "connections.log"
@@ -345,22 +338,50 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
     _train_filters(filters, training_stream, out)
     del training_stream  # evaluation holds no training message
 
-    log_read = any(f.binding.needs_connection_log for f in filters)
-    side = [f for f in filters if f.binding.command is not None][:-1]
     counts = {f.binding.name: ConfusionCounts() for f in filters}
     errors = {f.binding.name: 0 for f in filters}
+    failures: list = []  # (message index, lineup position, exception)
+    inboxes = {i: queue.Queue(TRAIL) for i, f in enumerate(filters)
+               if f.binding.command is not None}
+    readers = [q for i, q in inboxes.items() if filters[i].binding.needs_connection_log]
+    builtins = [(i, f) for i, f in enumerate(filters) if i not in inboxes]
+    workers = [
+        threading.Thread(target=_work, args=(filters[i], i, q, counts, errors, failures))
+        for i, q in inboxes.items()
+    ]
     try:
         out.mkdir(parents=True, exist_ok=True)
         log = open(log_path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     with log:
-        for _ in range(scenario.eval_steps):
-            for m, entry in step(world, rng):
+        try:
+            for t in workers:
+                t.start()
+            stream = (pair for _ in range(scenario.eval_steps) for pair in step(world, rng))
+            for index, (m, entry) in enumerate(stream):
                 log.write(entry.as_line() + "\n")
-                if log_read:
+                if readers:
                     log.flush()
-                _classify_message(filters, side, m, counts, errors)
+                for q in inboxes.values():
+                    q.put((index, m))
+                for i, f in builtins:
+                    try:
+                        _tally(f, m, counts, errors)
+                    except Exception as exc:
+                        failures.append((index, i, exc))
+                for q in readers:
+                    q.join()
+                if failures:
+                    break
+        finally:
+            for q in inboxes.values():
+                q.put(None)
+            for t in workers:
+                if t.is_alive():
+                    t.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
 
     ranked = rank([
         score(f.binding.name, f.binding.level, counts[f.binding.name],

@@ -71,6 +71,10 @@ class FilterBinding:
     needs_connection_log: bool = False
     # option name -> its config text, e.g. {"threshold": "0.9"}
     options: Mapping[str, str] = field(default_factory=dict, hash=False)
+    # set by the checks, for build_filter: argvs (None if unset), option values
+    argv: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
+    trainer_argv: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
+    option_values: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         name, where = self.name, f"filter {self.name}"
@@ -78,11 +82,12 @@ class FilterBinding:
             raise ConfigInvalid(f"{where}: needs exactly one of builtin or command")
         if self.needs_connection_log and self.level is not Level.SERVER:
             raise ConfigInvalid(f"{where}: connlog.{name} needs level S")
-        for key, text in (
-            (f"external.{name}", self.command), (f"trainer.{name}", self.trainer_command)
+        for attr, key, text in (
+            ("argv", f"external.{name}", self.command),
+            ("trainer_argv", f"trainer.{name}", self.trainer_command),
         ):
-            if text is not None:
-                split_command(where, key, text)
+            argv = None if text is None else tuple(split_command(where, key, text))
+            object.__setattr__(self, attr, argv)
         if self.builtin is not None and self.builtin not in BUILTIN_FILTERS:
             raise ConfigInvalid(f"{where}: not a builtin and no external.{name} command")
         if self.builtin == "volume" and self.level is not Level.SERVER:
@@ -92,28 +97,22 @@ class FilterBinding:
         ):
             unused = "trainer" if self.trainer_command is not None else "connlog"
             raise ConfigInvalid(f"{where}: {unused}.{name} is for external filters only")
-        self.option_values()
-
-    @property
-    def needs_training(self) -> bool:
-        """Builtin Bayes and external filters with a trainer take training."""
-        return self.builtin == "bayes" or self.trainer_command is not None
-
-    def option_values(self) -> dict:
-        """Convert each option's text as its builtin class's OPTIONS entry
-        (type, lowest, highest or None) declares; raise ConfigInvalid naming
-        the key for an undeclared option or a bad or out-of-range value."""
+        # each option converts as its OPTIONS entry (type, lowest, highest) says
         declared = BUILTIN_FILTERS[self.builtin][0].OPTIONS if self.builtin else {}
-        where = f"filter {self.name}"
         values = {}
         for option, text in self.options.items():
-            key = f"{self.name}.{option}"
+            key = f"{name}.{option}"
             if option not in declared:
                 raise ConfigInvalid(f"{where}: unknown option {key}")
             kind, low, high = declared[option]
             values[option] = parse_value(where, key, text, kind)
             check_range(where, key, values[option], low, high)
-        return values
+        object.__setattr__(self, "option_values", values)
+
+    @property
+    def needs_training(self) -> bool:
+        """Builtin Bayes and external filters with a trainer take training."""
+        return self.builtin == "bayes" or self.trainer_command is not None
 
 
 class BayesFilterState:
@@ -238,18 +237,13 @@ class ConstantFilterState:
 class ExternalFilterState:
     """Wrapper around an external classify command and optional trainer.
 
-    Both commands are split, and a log-reading wrapper's environment is
-    copied, once, when the filter is built, so a classify call costs one
-    process and no set-up.
+    Both commands were split when the binding was made, and a log-reading
+    wrapper's environment is copied once, when the filter is built, so a
+    classify call costs one process and no set-up.
     """
 
     def __init__(self, binding: FilterBinding, log_path=None):
         self.binding = binding
-        # the binding has checked that both commands split
-        self.argv = shlex.split(binding.command)
-        self.trainer_argv = None
-        if binding.trainer_command is not None:
-            self.trainer_argv = shlex.split(binding.trainer_command)
         self.env = None
         if binding.needs_connection_log:
             if log_path is None:
@@ -259,7 +253,7 @@ class ExternalFilterState:
     def train(self, ham, spam) -> None:
         try:
             proc = subprocess.run(
-                self.trainer_argv + [str(ham), str(spam)], capture_output=True
+                [*self.binding.trainer_argv, str(ham), str(spam)], capture_output=True
             )
         except OSError as exc:
             raise TrainerFailed(f"{self.binding.name}: {exc}") from exc
@@ -274,7 +268,7 @@ class ExternalFilterState:
     def classify(self, m: Message) -> Verdict:
         try:
             proc = subprocess.run(
-                self.argv,
+                self.binding.argv,
                 input=render_message(m).encode("utf-8"),
                 capture_output=True,
                 env=self.env,
@@ -327,7 +321,7 @@ def build_filter(binding: FilterBinding, log_path=None):
     if binding.builtin is None:
         return ExternalFilterState(binding, log_path)
     cls, fixed = BUILTIN_FILTERS[binding.builtin]
-    return cls(binding, **fixed, **binding.option_values())
+    return cls(binding, **fixed, **binding.option_values)
 
 
 def classify(filt, m: Message) -> Verdict:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import shlex
 import subprocess
@@ -128,12 +129,15 @@ class TestWrapperProtocol:
         binding = external_binding(
             "print('ham')", trainer_command=f"{shlex.quote(sys.executable)} -V"
         )
-        f = build_filter(binding)
+        assert binding.argv == (sys.executable, "-c", "print('ham')")
+        assert binding.trainer_argv == (sys.executable, "-V")
+        assert external_binding("print('ham')").trainer_argv is None
         splits = []
         split = filters.shlex.split
         monkeypatch.setattr(
             filters.shlex, "split", lambda *a, **kw: splits.append(a) or split(*a, **kw)
         )
+        f = build_filter(binding)
         for _ in range(3):
             assert classify(f, make_message()).label is Label.HAM
         assert splits == []
@@ -365,6 +369,24 @@ class TestBuiltinRegistry:
             options={"threshold": "2"},
         ))
         assert f.db.bulk_threshold == 2
+
+    def test_options_converted_once_when_bound(self, monkeypatch):
+        binding = FilterBinding(
+            name="b", level=Level.USER, builtin="bayes",
+            options={"n": "7", "threshold": "0.5"},
+        )
+        assert binding.option_values == {"n": 7, "threshold": 0.5}
+        monkeypatch.setattr(filters, "parse_value", None)  # any call fails
+        f = build_filter(binding)
+        assert (f.n, f.threshold) == (7, 0.5)
+
+    def test_kept_values_leave_equality_hash_and_replace_alone(self):
+        a = FilterBinding(name="c", level=Level.USER, command="cat -u")
+        b = FilterBinding(name="c", level=Level.USER, command="cat -u")
+        assert a == b and hash(a) == hash(b)
+        assert "argv" not in repr(a)
+        changed = dataclasses.replace(a, command="tac")
+        assert changed.argv == ("tac",) and changed != a
 
     @pytest.mark.parametrize(
         "builtin, option, text, rule",

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -12,9 +13,12 @@ import pytest
 
 from conftest import DEFAULT_SIM, build_scenario_files
 from spamlab import evalcli
+from spamlab.corpus import Label, Verdict
 from spamlab.errors import ConfigInvalid
 from spamlab.evalcli import load_scenario, main, rank, run_scenario
-from spamlab.filters import ExternalFilterState, Level, build_filter, classify
+from spamlab.filters import (
+    ConstantFilterState, ExternalFilterState, Level, build_filter, classify,
+)
 from spamlab.trafficgen import step
 
 
@@ -340,6 +344,123 @@ class TestSideBySideWrappers:
                 {"first": KEYWORD, "kw": KEYWORD},
             )
         assert set(threading.enumerate()) == before
+
+    def test_each_wrapper_sees_the_stream_in_order(self, tmp_path):
+        # the log reader records the log's length at each call, the other
+        # wrapper each message's sequence number
+        lines, ids = (shlex.quote(str(tmp_path / f)) for f in ("lines", "ids"))
+        results, _ = self.run_lineup(
+            tmp_path, "ids U; log S; pass-all U",
+            {
+                "ids": sh(r"sed -n 's/^Message-ID: <\([0-9]*\)\..*/\1/p' >> " + ids
+                          + "; echo ham"),
+                "log": sh(f'cat > /dev/null; wc -l < "$SPAMLAB_CONNLOG" >> {lines};'
+                          " echo ham"),
+            },
+            eval_steps=12,
+        )
+        evaluated = results["pass-all"].counts.n_spam + results["pass-all"].counts.n_ham
+        assert evaluated > 10
+        for name in ("lines", "ids"):
+            seen = [int(n) for n in (tmp_path / name).read_text().split()]
+            assert seen == list(range(1, evaluated + 1))
+
+    def test_failed_worker_takes_its_messages_until_the_end(
+        self, tmp_path, monkeypatch
+    ):
+        original = ExternalFilterState.classify
+
+        def classify(self, m):
+            if self.binding.name == "first":
+                time.sleep(0.5)  # the run fills first's inbox meanwhile
+                raise RuntimeError("first broke")
+            return original(self, m)
+
+        monkeypatch.setattr(ExternalFilterState, "classify", classify)
+        before = set(threading.enumerate())
+        raised = []
+
+        def run_it():
+            try:
+                self.run_lineup(
+                    tmp_path, "first U; kw U; pass-all U",
+                    {"first": KEYWORD, "kw": KEYWORD}, eval_steps=40,
+                )
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        runner = threading.Thread(target=run_it, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert raised == ["first broke"]
+        assert set(threading.enumerate()) == before
+        logged = (tmp_path / "out" / "connections.log").read_text().splitlines()
+        stream = tmp_path / "stream"
+        stream.mkdir()
+        _, whole = self.run_lineup(stream, "pass-all U", {}, eval_steps=40)
+        total = len((whole / "connections.log").read_text().splitlines())
+        # the inbox filled, and the run stopped well before the stream's end
+        assert evalcli.TRAIL + 1 < len(logged) < total - evalcli.TRAIL
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_builtin_exception_joins_every_worker(self, tmp_path, monkeypatch, error):
+        calls = []
+
+        def classify(self, m):
+            calls.append(m)
+            if len(calls) == 5:
+                raise error("builtin broke")
+            return Verdict(self.label, None)
+
+        monkeypatch.setattr(ConstantFilterState, "classify", classify)
+        before = set(threading.enumerate())
+        with pytest.raises(error, match="builtin broke"):
+            self.run_lineup(
+                tmp_path, "kw U; log S; pass-all U", {"kw": KEYWORD, "log": LOG_PARITY}
+            )
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize(
+        "builtin_fails_at, raised",
+        [(4, "first broke on 3"), (3, "pass-all broke on 3"), (2, "pass-all broke on 2")],
+    )
+    def test_earliest_failure_is_raised(self, tmp_path, monkeypatch, builtin_fails_at, raised):
+        # first (lineup position 1) breaks on message 3 only after a pause,
+        # so the run meets pass-all's failure (position 0) first in time
+        seen = {"first": 0, "pass-all": 0}
+
+        def breaking(name, fails_at, pause):
+            def classify(self, m):
+                index = seen[name]
+                seen[name] += 1
+                if index == fails_at:
+                    time.sleep(pause)
+                    raise RuntimeError(f"{name} broke on {index}")
+                return Verdict(Label.HAM, None)
+            return classify
+
+        monkeypatch.setattr(ExternalFilterState, "classify", breaking("first", 3, 0.3))
+        monkeypatch.setattr(
+            ConstantFilterState, "classify", breaking("pass-all", builtin_fails_at, 0)
+        )
+        with pytest.raises(RuntimeError, match=f"^{raised}$"):
+            self.run_lineup(tmp_path, "pass-all U; first U", {"first": KEYWORD})
+
+    def test_two_wrappers_start_two_threads(self, tmp_path, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        results, _ = self.run_lineup(
+            tmp_path, "kw U; log S; pass-all U", {"kw": KEYWORD, "log": LOG_PARITY}
+        )
+        assert results["pass-all"].counts.n_ham > 1
+        assert len(started) == 2
 
 
 # id -> (overrides, text appended to scenario.cfg, the error's message);
