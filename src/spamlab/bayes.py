@@ -1,8 +1,9 @@
 """Naive Bayesian content filter.
 
-Estimates a per-word spam probability from labelled training mail, picks
-the most polarized words of an incoming message, and combines them with
-Bayes rule into a spam posterior that is compared against a threshold.
+Estimates a per-word spam probability from labelled training mail (a
+word the model did not count is neutral and is never stored), picks the
+most polarized words of an incoming message, and combines them with Bayes
+rule into a spam posterior that is compared against a threshold.
 
 Every function that tokenizes takes an optional token lookup (text ->
 tokens), plain tokenize by default. A filter that sees the same texts
@@ -34,25 +35,23 @@ P_MAX = 0.99
 P_NEUTRAL = 0.5
 
 
-def _interned_tokens(text: str) -> tuple[str, ...]:
-    # tokenize is looked up here at each call, so a patch on bayes.tokenize
-    # sees every tokenization
-    return tuple(map(sys.intern, tokenize(text)))
-
-
 class TokenMemo(Memo):
     """Token lookup that keeps the tokens of the texts that recur.
 
-    Call it like tokenize; it returns a tuple of interned tokens. It is a
-    Memo: a text is tokenized at its first and second lookup, stored from
-    the second, and later lookups return the stored tuple, so a text seen
+    Call it like tokenize; it returns a tuple of tokens. It is a Memo: a
+    text is tokenized at its first and second lookup, stored from the
+    second, and later lookups return the stored tuple, so a text seen
     once, like most personalized spam, is never held. Give each filter
-    its own memo and let it go with the filter. Interning keeps one copy
-    of each word across all the texts held.
+    its own memo and let it go with the filter. Only the tokens it keeps
+    are interned, so the texts held share one copy of each word.
     """
 
     def __init__(self):
-        super().__init__(_interned_tokens)
+        # tokenize is looked up at each call, so a patch on it sees them all
+        super().__init__(lambda text: tuple(tokenize(text)))
+
+    def __setitem__(self, text, tokens):
+        super().__setitem__(text, tuple(map(sys.intern, tokens)))
 
 
 class Text(NamedTuple):
@@ -67,7 +66,8 @@ class BayesModel:
     """Word occurrence counts and classification parameters.
 
     The counts must not change after training: word_spaminess fills the
-    spaminess table (word -> p) as classification asks for words, and
+    spaminess table (word -> p) as classification asks for words, with
+    the words this model counted only (any other word is neutral), and
     classify_memoised keeps verdicts in the verdict memo, so a changed
     count would leave their entries stale. The table and the memo are left
     out of repr and ==, and dataclasses.replace gives the copy empty ones.
@@ -90,17 +90,16 @@ class BayesModel:
 
 
 def _add_spaminess(model: BayesModel, words) -> None:
-    """Enter the spaminess of each of words, none of them in the table
-    yet, into model.spaminess (see word_spaminess)."""
+    """Enter the spaminess of each of words that the model counted, none
+    of them in the table yet, into model.spaminess (see word_spaminess)."""
     table = model.spaminess
     spam_count, ham_count = model.spam_count, model.ham_count
     n_spam, n_ham = model.n_spam_msgs, model.n_ham_msgs
     for word in words:
         s = spam_count.get(word, 0) / n_spam
         h = ham_count.get(word, 0) / n_ham
-        if s == 0.0 and h == 0.0:
-            table[word] = P_NEUTRAL
-        else:
+        # a Counter may hold a word at count 0: test the rates, not the keys
+        if s or h:
             table[word] = min(P_MAX, max(P_MIN, s / (s + h)))
 
 
@@ -108,14 +107,13 @@ def word_spaminess(model: BayesModel, word: str) -> float:
     """Probability that a word occurs in spam rather than ham.
 
     Computed as (S(w)/N_S) / (S(w)/N_S + H(w)/N_H), clamped to
-    [0.01, 0.99]. Words absent from both training sets are neutral (0.5).
-    Each word is computed once per model and kept in model.spaminess.
+    [0.01, 0.99]. Words absent from both training sets are neutral (0.5)
+    and never stored; any other is computed once and kept in the table.
     """
-    p = model.spaminess.get(word)
-    if p is None:
+    table = model.spaminess
+    if word not in table:
         _add_spaminess(model, (word,))
-        p = model.spaminess[word]
-    return p
+    return table.get(word, P_NEUTRAL)
 
 
 def interesting_words(model: BayesModel, m, tokens=None) -> list[str]:
@@ -130,7 +128,7 @@ def interesting_words(model: BayesModel, m, tokens=None) -> list[str]:
     distinct = set(tokens(m.subject)).union(tokens(m.body))
     table = model.spaminess
     _add_spaminess(model, distinct.difference(table))
-    distance = {w: abs(table[w] - 0.5) for w in distinct}
+    distance = {w: abs(table.get(w, P_NEUTRAL) - 0.5) for w in distinct}
     # sorted is stable, also in reverse: words at one distance keep the
     # lexicographic order of the inner sort
     ranked = sorted(sorted(distinct), key=distance.__getitem__, reverse=True)
@@ -157,8 +155,10 @@ def combine_spam_probability(probs, prior_spam: float) -> float:
 
 def posterior_spam(model: BayesModel, words) -> float:
     """Spam posterior for a word list under the trained model."""
+    table = model.spaminess
+    _add_spaminess(model, set(words).difference(table))
     return combine_spam_probability(
-        [word_spaminess(model, w) for w in words], model.prior_spam
+        [table.get(w, P_NEUTRAL) for w in words], model.prior_spam
     )
 
 

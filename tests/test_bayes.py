@@ -75,6 +75,18 @@ class TestWordSpaminess:
         model = model_from_counts({}, {}, 1, 1)
         assert word_spaminess(model, "ghost") == 0.5
 
+    def test_word_at_count_zero_is_neutral_and_not_stored(self):
+        """A Counter can hold a word at count 0; the model did not count
+        it, so it is neutral, never stored, and nothing divides 0 by 0."""
+        model = model_from_counts({"w": 0}, {"w": 0}, 10, 10)
+        assert word_spaminess(model, "w") == 0.5
+        assert "w" not in model.spaminess
+        # a token has 2-40 characters, so the message's word is "ww"
+        model = model_from_counts({"ww": 0}, {"ww": 0}, 10, 10)
+        verdict = bayes_classify(model, make_message(subject="", body="ww"))
+        assert verdict == Verdict(Label.HAM, 0.5)
+        assert "ww" not in model.spaminess
+
     @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
     def test_monotone_in_counts(self, s, h, extra):
         base = model_from_counts({"w": s}, {"w": h}, 100, 100)
@@ -298,14 +310,19 @@ class TestTokenMemo:
     plain tokenize, and a fresh spaminess table for every message."""
 
     def test_memo_tokenizes_once_and_interns(self):
+        """The first lookup stores nothing; the second stores the tokens,
+        interned; later lookups return the stored tuple."""
+        text = "Buy NOW buy"
         memo = TokenMemo()
-        first = memo("Buy NOW buy")
-        assert first == tuple(tokenize("Buy NOW buy")) and len(memo) == 0
-        assert first[0] is first[2] is sys.intern("buy")
-        second = memo("Buy NOW buy")
-        assert second == first and len(memo) == 1
-        assert second[0] is first[0]
-        assert memo("Buy NOW buy") is second and len(memo) == 1
+        first = memo(text)
+        assert first == tuple(tokenize(text)) and len(memo) == 0
+        assert memo(text) == first and len(memo) == 1
+        stored = memo[text]
+        # tokenize makes new strings, which sys.intern maps to the stored
+        # ones only if those were interned
+        assert all(w is sys.intern(t) for w, t in zip(stored, tokenize(text)))
+        assert stored[0] is stored[2]
+        assert memo(text) is stored and len(memo) == 1
         assert memo("") == ()
 
     def test_hash_collision_stores_early_never_wrong(self):
@@ -339,11 +356,12 @@ class TestTokenMemo:
         assert {v.label for v in verdicts} == {Label.HAM, Label.SPAM}
         assert verdicts[9] == Verdict(Label.HAM, plain.prior_spam)  # no tokens
         table = fast.spaminess
-        assert table["unseen0"] == 0.5
+        assert "unseen0" not in table and word_spaminess(fast, "unseen0") == 0.5
         assert table["spam00"] == 0.99 and table["ham00"] == 0.01
         assert 0.01 < table["common0"] < 0.99
         for word, p in table.items():
             assert p == word_spaminess(replace(plain), word)
+            assert plain.spam_count[word] > 0 or plain.ham_count[word] > 0
 
     def test_per_user_models_and_verdicts_match_plain_path(self, tmp_path):
         train_stream = seeded_stream(2, 200)
@@ -369,6 +387,10 @@ class TestTokenMemo:
         for m in seeded_stream(102, 300, unseen=True):
             model = expected.get(m.recipients[0], general)
             assert classify(f, m) == bayes_classify(replace(model), m)
+        # each table holds only words its model counted
+        for model in (f.model, *f.user_models.values()):
+            assert all(model.spam_count[w] > 0 or model.ham_count[w] > 0
+                       for w in model.spaminess)
 
 
 class TestTokenizeOncePerRun:
