@@ -8,6 +8,7 @@ histogram as text, and calibrates the spammer activation probability to a
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 from spamlab.corpus import Corpus, Label
 from spamlab.trafficgen import (
@@ -67,7 +68,7 @@ for d in range(1, 16):
     print(f"  {d:3d} {bar}")
 
 print("\ncalibrating activation probability for the 40% target...")
-calibrated = calibrate_spam_fraction(config, pilot_steps=1500)
+calibrated = calibrate_spam_fraction(replace(config, steps=1500))
 print(f"  activation_prob {config.activation_prob} ->"
       f" {calibrated.activation_prob:.5f}")
 

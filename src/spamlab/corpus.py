@@ -238,7 +238,7 @@ def load_corpus(path, topic: str) -> Corpus:
     """
     p = Path(path)
     if not p.exists():
-        raise MissingPath(str(p))
+        raise MissingPath(f"{topic} corpus not found: {p}")
     bodies: list[str] = []
     if p.is_dir():
         for child in sorted(p.iterdir(), key=lambda c: c.name):
@@ -247,7 +247,7 @@ def load_corpus(path, topic: str) -> Corpus:
     else:
         bodies.extend(_bodies_from_file(p))
     if not bodies:
-        raise EmptyCorpus(str(p))
+        raise EmptyCorpus(f"{topic} corpus has no messages: {p}")
     return Corpus(topic=topic, bodies=tuple(bodies), source_path=str(p))
 
 

@@ -6,7 +6,7 @@ class SpamlabError(Exception):
 
 
 class MissingPath(SpamlabError):
-    """A corpus path does not exist."""
+    """A corpus path does not exist, or a ham corpus is not a directory."""
 
 
 class EmptyCorpus(SpamlabError):
@@ -52,7 +52,3 @@ class NoHamEvaluated(SpamlabError):
 class ConfigInvalid(SpamlabError, ValueError):
     """A simulation or scenario config, or a filter binding, failed
     validation."""
-
-
-class CorpusMissing(SpamlabError):
-    """A scenario references a corpus path that cannot be loaded."""

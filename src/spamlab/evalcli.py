@@ -23,9 +23,9 @@ from . import trafficgen
 from .corpus import Label, load_corpus
 from .errors import (
     ConfigInvalid,
-    CorpusMissing,
     EmptyTrainingSet,
     IoFailure,
+    MissingPath,
     NoHamEvaluated,
     NoSpamEvaluated,
     SpamlabError,
@@ -231,26 +231,20 @@ def load_scenario(path) -> Scenario:
 def _load_ham_corpora(root: str):
     root_path = Path(root)
     if not root_path.is_dir():
-        raise CorpusMissing(f"ham corpus directory not found: {root}")
+        raise MissingPath(f"no ham corpus directory at {root}")
     topic_dirs = sorted(
         (d for d in root_path.iterdir() if d.is_dir()), key=lambda d: d.name
     )
-    try:
-        if topic_dirs:
-            return [load_corpus(d, d.name) for d in topic_dirs]
-        return [load_corpus(root_path, root_path.name or "general")]
-    except SpamlabError as exc:
-        raise CorpusMissing(str(exc)) from exc
+    if topic_dirs:
+        return [load_corpus(d, d.name) for d in topic_dirs]
+    return [load_corpus(root_path, root_path.name or "general")]
 
 
 def _build_world(scenario: Scenario, rng) -> World:
     ham_corpora = _load_ham_corpora(scenario.ham_corpus)
     spam_corpus = None
     if scenario.sim.n_spammers > 0:
-        try:
-            spam_corpus = load_corpus(scenario.spam_corpus, "spam")
-        except SpamlabError as exc:
-            raise CorpusMissing(str(exc)) from exc
+        spam_corpus = load_corpus(scenario.spam_corpus, "spam")
     return World(
         scenario.sim,
         ham_corpora,

@@ -38,6 +38,8 @@ REDRAW_LIMIT = 1_000_000
 # calibration bisects until the pilot is within half the tolerance
 CALIBRATION_TOLERANCE = 0.02
 CALIBRATION_STEPS = 26
+# random() draws a calibration pilot parse makes at a time
+_PILOT_CHUNK = 1 << 12
 
 # Recipients of one non-personalized spam delivery batch share one message
 # via Bcc; personalized spam is one message per recipient.
@@ -79,6 +81,25 @@ class SimConfig:
         check_ranges(self)
         if self.sigma <= 0:
             raise ConfigInvalid(f"sigma = {self.sigma!r} must be > 0")
+
+    # Derived from the fields; World and the calibration pilot both read them.
+    # Not cached: a value stored in the instance __dict__ makes every field
+    # read slower (CPython 3.11), and _step_user reads fields per user.
+
+    @property
+    def n_subscribers(self) -> int:
+        """Subscribers of each mailing list."""
+        return min(self.n_users, max(5, self.n_users // 10))
+
+    @property
+    def n_targets(self) -> int:
+        """Addresses in each spammer's database."""
+        return min(self.n_users, self.spammer_db_size)
+
+    @property
+    def recipients_p(self) -> float:
+        """p of a user send's geometric recipient count (mean 1/p)."""
+        return 1.0 / max(self.recipients_mean, 1.0)
 
 
 def parse_kv(path) -> dict[str, str]:
@@ -326,6 +347,7 @@ class World:
         if config.n_spammers > 0 and spam_corpus is None:
             raise ConfigInvalid("spammers configured but no spam corpus given")
         self.config = config
+        self.recipients_p = config.recipients_p  # _step_user reads it on every send
         self.personalize_spam = personalize_spam
         self.bogus_headers = bogus_headers
         self.random_words = random_words
@@ -346,23 +368,21 @@ class World:
             )
             for i in range(config.n_users)
         ]
-        n_subscribers = min(config.n_users, max(5, config.n_users // 10))
         self.mailing_lists = [
             MailingList(
                 address=f"list{j}@lists.example.org",
                 host=f"list{j}.lists.example",
                 topic=rng.choice(topics),
-                subscribers=tuple(rng.sample(addresses, n_subscribers)),
+                subscribers=tuple(rng.sample(addresses, config.n_subscribers)),
                 body_cursor=j,
             )
             for j in range(config.n_mailing_lists)
         ]
-        db_size = min(config.n_users, config.spammer_db_size)
         self.spammers = [
             Spammer(
                 address=f"deals{k}@bulkmail.example.net",
                 host=f"relay{k}.open.example",
-                targets=tuple(rng.sample(addresses, db_size)),
+                targets=tuple(rng.sample(addresses, config.n_targets)),
             )
             for k in range(config.n_spammers)
         ]
@@ -411,8 +431,7 @@ def _step_user(world, out, user, rng):
     config = world.config
     if rng.random() >= config.send_prob:
         return
-    p = 1.0 / max(config.recipients_mean, 1.0)
-    k = max(1, min(_geometric(rng, p), config.n_users - 1))
+    k = max(1, min(_geometric(rng, world.recipients_p), config.n_users - 1))
     indices = select_recipients(user.index, config.n_users, config.sigma, k, rng)
     to, cc, bcc = [], [], []
     fields, getrandbits = (to, cc, bcc), rng.getrandbits
@@ -519,24 +538,42 @@ class _PilotDraws:
     draw index (send_at), its slot index (send_slot) and the running total
     of the clamped recipient counts (ham[m] sums the first m send slots).
     It depends on the config but not on activation_prob, so every pilot of
-    one calibration reuses it. Draws are made and parsed chunk at a time,
-    as pilots reach them.
+    one calibration reuses it.
+
+    The parse is made up front, _PILOT_CHUNK draws at a time, and covers
+    the steps * (n_users + n_mailing_lists + n_spammers) slots a pilot of
+    `steps` steps can reach. A pilot's position, counted in slots, plus 1
+    while it is on a send slot's geometric draw, grows by at most 1 per
+    user turn and per list or spammer draw.
     """
 
-    def __init__(self, config: SimConfig, seed: int, chunk: int = 1 << 12):
-        self.config = config
-        self.draw = random.Random(seed).random
-        self.chunk = chunk
-        p = 1.0 / max(config.recipients_mean, 1.0)
+    def __init__(self, config: SimConfig, seed: int, steps: int):
+        self.config, self.steps = config, steps
+        p = config.recipients_p
         # _geometric(rng, p) inlined: the same draws, with log(1 - p) taken once
         self.log_q = math.log(1.0 - p) if p < 1.0 else None
-        self.wide = 0 if self.log_q is None else 1  # a send slot's geometric draw
-        self.draws = array("d")
-        self.send_at = array("q")
-        # with one-draw slots, a slot's index is its draw index
-        self.send_slot = self.send_at if self.wide == 0 else array("q")
-        self.ham = array("q", [0])
-        self.parsed = 0  # the draw index where the parse stops: a slot start
+        self.wide = wide = 0 if self.log_q is None else 1  # a send slot's geometric draw
+        reach = steps * (config.n_users + config.n_mailing_lists + config.n_spammers)
+        draw, send_prob = random.Random(seed).random, config.send_prob
+        self.draws = draws = array("d")
+        self.send_at = send_at = array("q")
+        slot_start = 0  # the draw index of the next slot; past the draws
+        # when the last one made starts a send slot
+        while slot_start - len(send_at) * wide < reach or slot_start > len(draws):
+            made = list(starmap(draw, repeat((), _PILOT_CHUNK)))
+            base = len(draws)
+            draws.fromlist(made)
+            for i in [i for i, d in enumerate(made, base) if d < send_prob]:
+                if i >= slot_start:  # else the geometric draw of the slot before
+                    send_at.append(i)
+                    slot_start = i + 1 + wide
+            slot_start = max(slot_start, len(draws))
+        if wide:
+            self.send_slot = array("q", (i - m for m, i in enumerate(send_at)))
+            counts = self.recipients(draws[i + 1] for i in send_at)
+        else:  # with one-draw slots, a slot's index is its draw index
+            self.send_slot, counts = send_at, repeat(1, len(send_at))
+        self.ham = array("q", accumulate(counts, initial=0))
 
     def recipients(self, geometric_draws) -> list[int]:
         """The clamped recipient counts of send slots with these geometric
@@ -544,61 +581,21 @@ class _PilotDraws:
         log, log_q, most = math.log, self.log_q, max(1, self.config.n_users - 1)
         return [min(int(log(1.0 - d) / log_q) + 1, most) for d in geometric_draws]
 
-    def _extend(self) -> None:
-        draws, send_at, wide = self.draws, self.send_at, self.wide
-        made = list(starmap(self.draw, repeat((), self.chunk)))
-        base = len(draws)
-        draws.fromlist(made)
-        send_prob, kept, slot_start = self.config.send_prob, [], self.parsed
-        if slot_start < base:
-            # the last chunk ended on this send slot's first draw
-            kept.append(slot_start)
-            slot_start += 2
-        for i in [i for i, d in enumerate(made, base) if d < send_prob]:
-            if i >= slot_start:  # else the geometric draw of the slot before
-                kept.append(i)
-                slot_start = i + 1 + wide
-        self.parsed = len(draws)
-        if wide:
-            if kept and kept[-1] == self.parsed - 1:
-                self.parsed = kept.pop()  # its geometric draw is in the next chunk
-            self.send_slot.extend([i - m for m, i in enumerate(kept, len(send_at))])
-            counts = self.recipients([draws[i + 1] for i in kept])
-        else:
-            counts = repeat(1, len(kept))
-        send_at.extend(kept)
-        # the running total goes on from the last one, which it yields first
-        self.ham.extend(accumulate(counts, initial=self.ham.pop()))
-
-    def draw_to(self, n: int) -> None:
-        """Make sure the first n draws are made."""
-        while len(self.draws) < n:
-            self._extend()
-
-    def _parse_to(self, pos: int) -> int:
-        """Parse past draw index pos; return the number of send slots
-        before it."""
-        while self.parsed < pos:
-            self._extend()
-        return bisect_left(self.send_at, pos)
-
     def walk(self, pos: int, n: int) -> tuple[int, int]:
         """Walk n user slots from draw index pos; return the ham deliveries
         they make and the draw index after them.
 
-        A walk that starts on the geometric draw of a parsed send slot is
-        off the parse: it steps slot by slot until it lands on a slot start
-        of the parse, which it does at its first draw not below send_prob.
-        From there it jumps the remaining slots with two bisections.
+        A walk that starts on the geometric draw of a send slot is off the
+        parse: it steps slot by slot until it lands on a slot start of the
+        parse, which it does at its first draw not below send_prob. From
+        there it jumps the remaining slots with two bisections.
         """
-        sent, wide = 0, self.wide
-        if wide:
-            k = self._parse_to(pos)
-            off = k > 0 and self.send_at[k - 1] == pos - 1
-            draws, send_prob = self.draws, self.config.send_prob
+        sent, wide, send_at = 0, self.wide, self.send_at
+        k = bisect_left(send_at, pos)
+        if wide and k and send_at[k - 1] == pos - 1:
+            draws, send_prob, off = self.draws, self.config.send_prob, True
             while off and n:
                 n -= 1
-                self.draw_to(pos + 2)
                 if draws[pos] >= send_prob:
                     pos, off = pos + 1, False
                 else:
@@ -607,17 +604,15 @@ class _PilotDraws:
                     off = draws[pos - 1] < send_prob  # a send slot of the parse
             if off:
                 return sent, pos
-        k = self._parse_to(pos)
+            k = bisect_left(send_at, pos)
         target = pos - k * wide + n  # the slot index after the walk
-        while self.parsed - len(self.send_at) * wide < target:
-            self._extend()
         j = bisect_left(self.send_slot, target)
         return sent + self.ham[j] - self.ham[k], target + j * wide
 
 
-def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
+def _pilot(draws: _PilotDraws, multiplier: float) -> float:
     """Dry-run estimate of the recipient-weighted spam fraction over one
-    seed's parsed draws.
+    seed's parsed draws, for draws.steps steps.
 
     Mirrors the sender state machines of step() while counting deliveries
     only, so calibration pilots cost no message construction. It replays
@@ -629,18 +624,16 @@ def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
     config = draws.config
     n_users, send_prob, burst_rate = config.n_users, config.send_prob, config.burst_rate
     n_lists, n_spammers = config.n_mailing_lists, config.n_spammers
-    n_subscribers = min(n_users, max(5, n_users // 10))
-    db_size = min(n_users, config.spammer_db_size)
+    n_subscribers, n_targets = config.n_subscribers, config.n_targets
     activation = min(1.0, config.activation_prob * multiplier)
     values = draws.draws
 
     list_remaining = [0] * n_lists
     spam_remaining = [0] * n_spammers
     ham = spam = pos = 0
-    for _ in range(steps):
+    for _ in range(draws.steps):
         user_ham, pos = draws.walk(pos, n_users)
         ham += user_ham
-        draws.draw_to(pos + n_lists + n_spammers)
         for j in range(n_lists):
             if list_remaining[j] == 0:
                 pos += 1
@@ -654,7 +647,7 @@ def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
                 pos += 1
                 if values[pos - 1] >= activation:
                     continue
-                spam_remaining[k] = db_size
+                spam_remaining[k] = n_targets
             sent = min(burst_rate, spam_remaining[k])
             spam += sent
             spam_remaining[k] -= sent
@@ -663,14 +656,10 @@ def _pilot(draws: _PilotDraws, multiplier: float, steps: int) -> float:
     return spam / (ham + spam)
 
 
-def calibrate_spam_fraction(
-    config: SimConfig,
-    *,
-    pilot_steps: int | None = None,
-) -> SimConfig:
+def calibrate_spam_fraction(config: SimConfig) -> SimConfig:
     """Adjust spammer activation probability to hit the target fraction.
 
-    Runs seeded dry-run pilots (config.steps long by default) and bisects
+    Runs seeded dry-run pilots of exactly config.steps steps and bisects
     a global multiplier on activation_prob until the pilot's
     recipient-weighted spam fraction is within CALIBRATION_TOLERANCE / 2
     of target_spam_fraction, for at most CALIBRATION_STEPS steps. Raises
@@ -678,13 +667,11 @@ def calibrate_spam_fraction(
     spammers can produce.
 
     Each multiplier is measured by three pilots, one per pilot seed. Each
-    pilot seed's draws are made and parsed once per calibration
+    pilot seed's draws are made and parsed once per calibration, up front
     (_PilotDraws), and every pilot reuses that parse, yet replays the
     per-draw dry run exactly, so the calibrated values are the ones a
     pilot that draws afresh for each multiplier gives.
     """
-    if pilot_steps is None:
-        pilot_steps = max(500, config.steps)
     target = config.target_spam_fraction
     if config.n_spammers == 0 or config.spammer_db_size == 0:
         if target == 0.0:
@@ -697,12 +684,12 @@ def calibrate_spam_fraction(
 
     pilot_seed = config.seed * 1_000_003 + 17
     hi = 1.0 / config.activation_prob  # multiplier that saturates at 1.0
-    seed_draws = [_PilotDraws(config, pilot_seed + salt) for salt in (0, 1, 2)]
+    seed_draws = [_PilotDraws(config, pilot_seed + salt, config.steps) for salt in (0, 1, 2)]
 
     def fraction_at(multiplier: float) -> float:
         # averaged over fixed pilot seeds: spam arrives in bursts, so a
         # single pilot's fraction estimate is too noisy to bisect on
-        estimates = [_pilot(draws, multiplier, pilot_steps) for draws in seed_draws]
+        estimates = [_pilot(draws, multiplier) for draws in seed_draws]
         return sum(estimates) / len(estimates)
 
     ceiling = fraction_at(hi)

@@ -8,6 +8,7 @@ end-to-end determinism at their stated tolerances.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_c5_traffic_statistics():
     an independent Monte-Carlo oracle for sigma in {3, 10}."""
     ham_corpora, spam_corpus = _memory_corpora()
     config = SimConfig(seed=2024)  # default topology, target 0.4
-    calibrated = calibrate_spam_fraction(config, pilot_steps=1200)
+    calibrated = calibrate_spam_fraction(replace(config, steps=1200))
     rng = random.Random(calibrated.seed)
     world = World(calibrated, ham_corpora, spam_corpus, rng)
     messages = []

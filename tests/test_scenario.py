@@ -704,6 +704,32 @@ class TestCli:
             assert err.count("\n") == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, expect",
+        [
+            ({"ham_corpus": "corpora/absent"},
+             "no ham corpus directory at {root}/corpora/absent"),
+            ({"ham_corpus": "sim.cfg"}, "no ham corpus directory at {root}/sim.cfg"),
+            ({"ham_corpus": "corpora/empty-ham"},
+             "gamma corpus has no messages: {root}/corpora/empty-ham/gamma"),
+            ({"spam_corpus": "corpora/absent"},
+             "spam corpus not found: {root}/corpora/absent"),
+            ({"spam_corpus": "corpora/empty-ham/gamma"},
+             "spam corpus has no messages: {root}/corpora/empty-ham/gamma"),
+        ],
+        ids=["ham-missing", "ham-is-a-file", "ham-topic-empty", "spam-missing",
+             "spam-empty"],
+    )
+    def test_run_verb_reports_corpus_errors(
+        self, tmp_path, scenario_builder, capsys, overrides, expect
+    ):
+        path = scenario_builder(tmp_path, scenario_overrides=overrides)
+        (tmp_path / "corpora" / "empty-ham" / "gamma").mkdir(parents=True)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expect.format(root=tmp_path)}\n"
+        assert not out.exists()
+
     def test_module_entry_point(self, tmp_path):
         src = Path(evalcli.__file__).parents[1]
         proc = subprocess.run(

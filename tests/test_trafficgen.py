@@ -4,6 +4,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -627,7 +628,7 @@ class TestSimConfigFile:
                if m.truth is Label.HAM]
         assert ham
         assert all(len(m.recipients) == config.n_users - 1 for m in ham)
-        calibrated = calibrate_spam_fraction(config, pilot_steps=10)
+        calibrated = calibrate_spam_fraction(config)
         assert 0 < calibrated.activation_prob <= 1.0
 
 
@@ -644,17 +645,25 @@ pilot_configs = st.builds(
 )
 
 
+def parse(config, seed, steps, chunk):
+    """A pilot seed's parse, made chunk draws at a time."""
+    with mock.patch.object(trafficgen, "_PILOT_CHUNK", chunk):
+        return trafficgen._PilotDraws(config, seed, steps)
+
+
 class TestPilot:
     """The calibration pilot jumps through each step's users on one parse
-    of the seed's draws; it must replay reference_pilot exactly."""
+    of the seed's draws, made up front; it must replay reference_pilot
+    exactly. Multiplier 0 keeps every spammer idle, so its pilot reads the
+    most draws: a parse that stops short of it raises IndexError."""
 
     def check(self, config, seed, steps, turns, chunk):
-        draws = trafficgen._PilotDraws(config, seed, chunk=chunk)
-        for multiplier in bisection_multipliers(config, turns):
+        draws = parse(config, seed, steps, chunk)
+        fresh = trafficgen._PilotDraws(config, seed, steps)
+        for multiplier in [*bisection_multipliers(config, turns), 0.0]:
             want = reference_pilot(config, multiplier, steps, seed)
-            assert trafficgen._pilot(draws, multiplier, steps) == want
-            fresh = trafficgen._PilotDraws(config, seed)
-            assert trafficgen._pilot(fresh, multiplier, steps) == want
+            assert trafficgen._pilot(draws, multiplier) == want
+            assert trafficgen._pilot(fresh, multiplier) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -667,7 +676,7 @@ class TestPilot:
     def test_replays_the_per_draw_pilot(self, config, seed, steps, turns, chunk):
         self.check(config, seed, steps, turns, chunk)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
     @pytest.mark.parametrize(
         "shape",
         [
@@ -692,19 +701,20 @@ class TestPilot:
 
     def test_send_slot_on_a_chunk_boundary(self):
         """A send slot that starts on the last draw of a chunk has its
-        geometric draw in the next one: the parse stops before it."""
+        geometric draw in the next one: the parse skips that draw there,
+        though it is below send_prob at this seed."""
         config = SimConfig(n_users=10, n_mailing_lists=1, n_spammers=2,
                            send_prob=0.3, recipients_mean=2.0, activation_prob=0.3)
-        rng = random.Random(3)
+        rng = random.Random(2)
         first_send = next(i for i in range(100) if rng.random() < config.send_prob)
-        draws = trafficgen._PilotDraws(config, 3, chunk=first_send + 1)
-        draws.draw_to(1)
-        assert draws.parsed == first_send and len(draws.send_at) == 0
-        draws.draw_to(first_send + 2)
-        assert draws.send_at[0] == first_send
-        for multiplier in (1.0, 0.5, 3.0):
-            want = reference_pilot(config, multiplier, 60, 3)
-            assert trafficgen._pilot(draws, multiplier, 60) == want
+        geometric = rng.random()
+        assert geometric < config.send_prob
+        draws = parse(config, 2, 60, first_send + 1)
+        assert draws.send_at[0] == first_send and draws.send_at[1] > first_send + 1
+        assert draws.ham[1] == draws.recipients([geometric])[0]
+        for multiplier in (1.0, 0.5, 3.0, 0.0):
+            want = reference_pilot(config, multiplier, 60, 2)
+            assert trafficgen._pilot(draws, multiplier) == want
 
 
 class TestCalibration:
@@ -715,10 +725,14 @@ class TestCalibration:
             (dict(seed=2005), 0.0234375),
             (dict(seed=2006, n_users=60, n_mailing_lists=1, n_spammers=3,
                   spammer_db_size=20, burst_rate=20), 0.09375),
+            (dict(seed=2004, recipients_mean=1.0), 0.01953125),
+            (dict(seed=2004, steps=200), 0.021240234375),
         ],
-        ids=["user-bayes", "server-bulk", "external-wrapper"],
+        ids=["user-bayes", "server-bulk", "external-wrapper", "mean-1", "steps-200"],
     )
     def test_benchmark_shapes_are_pinned(self, shape, activation_prob):
+        # the last two are not benchmark workloads: one-draw user slots, and
+        # a pilot shorter than 500 steps
         config = SimConfig(**{
             "n_users": 500, "n_mailing_lists": 5, "n_spammers": 10,
             "sigma": 10.0, "steps": 500, "target_spam_fraction": 0.4,
@@ -737,7 +751,7 @@ class TestCalibration:
             send_prob=0.5, target_spam_fraction=0.99,
         )
         with pytest.raises(CalibrationFailed):
-            calibrate_spam_fraction(config, pilot_steps=300)
+            calibrate_spam_fraction(replace(config, steps=300))
 
     def test_reachable_target_calibrates(self):
         config = SimConfig(
@@ -746,7 +760,7 @@ class TestCalibration:
             burst_rate=25, spammer_db_size=25,
             target_spam_fraction=0.4,
         )
-        calibrated = calibrate_spam_fraction(config, pilot_steps=1500)
+        calibrated = calibrate_spam_fraction(replace(config, steps=1500))
         world, rng = build_world(calibrated)
         messages = []
         for _ in range(600):
@@ -778,8 +792,24 @@ class TestCalibration:
             config, random.Random(1), personalize_spam=personalized
         )
         stream = [m for _ in range(2500) for m, _ in step(world, rng)]
-        pilot = trafficgen._pilot(trafficgen._PilotDraws(config, 1), 1.0, 10_000)
+        pilot = trafficgen._pilot(trafficgen._PilotDraws(config, 1, 10_000), 1.0)
         assert measure_spam_fraction(stream) == pytest.approx(pilot, abs=0.02)
+
+    def test_each_pilot_runs_config_steps(self, monkeypatch):
+        config = SimConfig(n_users=30, n_mailing_lists=1, n_spammers=2, seed=4,
+                           steps=37, burst_rate=10, spammer_db_size=10)
+        calls, pilot = [], trafficgen._pilot
+
+        def spy(draws, multiplier):
+            calls.append((draws.steps, multiplier, pilot(draws, multiplier)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(trafficgen, "_pilot", spy)
+        calibrate_spam_fraction(config)
+        assert calls and {steps for steps, _, _ in calls} == {37}
+        _, multiplier, fraction = calls[0]
+        pilot_seed = config.seed * 1_000_003 + 17
+        assert fraction == reference_pilot(config, multiplier, 37, pilot_seed)
 
     def test_measure_spam_fraction_weighs_recipients(self):
         world, rng = build_world(
