@@ -32,7 +32,6 @@ from .errors import (
     WrapperCrashed,
 )
 from .filters import (
-    BayesFilterState,
     FilterBinding,
     Level,
     build_filter,
@@ -258,8 +257,7 @@ def _build_world(scenario: Scenario, rng) -> World:
 
 def _train_filters(filters, stream, out_dir):
     """Phase 1: train every trainable filter on the general ham/spam mbox
-    pair; user-level builtin Bayes also trains its per-mailbox models on
-    the stream itself."""
+    pair and the stream written to it."""
     trainables = [f for f in filters if f.binding.needs_training]
     if not trainables:
         return
@@ -273,9 +271,7 @@ def _train_filters(filters, stream, out_dir):
     training_dir = Path(out_dir) / "training"
     ham_paths, spam_paths = emit_training_sets(stream, training_dir)
     for f in trainables:
-        train(f, ham_paths[0], spam_paths[0])
-        if f.binding.level is Level.USER and isinstance(f, BayesFilterState):
-            f.train_user_models(stream)
+        train(f, ham_paths[0], spam_paths[0], stream)
 
 
 def _tally(f, m, counts, errors) -> None:
@@ -509,12 +505,13 @@ def render_far_frr_svg(results) -> str:
     for i, r in enumerate(plotted):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         x, y = x_of(r.frr), y_of(r.far)
+        name = r.name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="{color}"/>'
         )
         parts.append(
             f'<text x="{x + 7:.1f}" y="{y + 4:.1f}" font-size="11"'
-            f' fill="{color}">{r.name} ({r.level.value})</text>'
+            f' fill="{color}">{name} ({r.level.value})</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

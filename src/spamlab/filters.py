@@ -145,10 +145,14 @@ class BayesFilterState:
         self.user_models: dict[str, bayes.BayesModel] = {}
         self.tokens = bayes.TokenMemo()
 
-    def train(self, ham, spam) -> None:
+    def train(self, ham, spam, stream) -> None:
+        """Train the general model from the ham and spam mboxes and, at
+        user level, the per-mailbox models from the stream they hold."""
         self.model = bayes.train_bayes(
             ham, spam, self.n, self.threshold, self.tokens
         )
+        if self.binding.level is Level.USER:
+            self.train_user_models(stream)
 
     def train_user_models(self, stream) -> None:
         """Give each mailbox with min_user_messages of each class in the
@@ -250,7 +254,8 @@ class ExternalFilterState:
                 raise ValueError(f"{binding.name}: connection log required")
             self.env = {**os.environ, CONNLOG_ENV_VAR: str(log_path)}
 
-    def train(self, ham, spam) -> None:
+    def train(self, ham, spam, stream) -> None:
+        """Run the trainer on the two mboxes; the stream is not read."""
         try:
             proc = subprocess.run(
                 [*self.binding.trainer_argv, str(ham), str(spam)], capture_output=True
@@ -329,14 +334,15 @@ def classify(filt, m: Message) -> Verdict:
     return filt.classify(m)
 
 
-def train(filt, ham, spam) -> None:
-    """Train a built filter from a ham and a spam mbox path."""
+def train(filt, ham, spam, stream) -> None:
+    """Train a built filter from a ham and a spam mbox path and the
+    training stream written to them."""
     if not filt.binding.needs_training:
         raise TrainerFailed(f"{filt.binding.name}: filter takes no training")
     for path in (ham, spam):
         if not Path(path).is_file():
             raise TrainerFailed(f"{filt.binding.name}: missing {path}")
-    filt.train(ham, spam)
+    filt.train(ham, spam, stream)
 
 
 def emit_training_sets(stream, out_dir):

@@ -1,10 +1,11 @@
 """Simulated email traffic generation.
 
 Normal users draw bodies from topic-grouped corpora and send to
-normally-distributed neighbours; mailing lists iterate their subscriber
-database one delivery per step; spammers burst-deliver a payload to their
-address database, optionally personalizing it, forging Received headers,
-or appending random dictionary words. Every emitted message carries a
+normally-distributed neighbours. Mailing lists and spammers are bulk
+senders with one run rule: a run sends one body through the sender's
+database, one delivery per step for a list and burst_rate per step for a
+spammer; spam is optionally personalized, given forged Received headers,
+or appended random dictionary words. Every emitted message carries a
 connection-log entry, and a fixed seed reproduces the stream bit for bit.
 """
 
@@ -212,26 +213,20 @@ class NormalUser:
     index: int
     address: str
     host: str
-    topic: str
+    bodies: tuple[str, ...]
     body_cursor: int = 0
 
 
 @dataclass
-class MailingList:
+class BulkSender:
+    """A mailing list (its topic's bodies, its subscribers) or a spammer
+    (the spam bodies, its address database). It is idle while current_body
+    is None; in a run, cursor counts the recipients already sent to."""
+
     address: str
     host: str
-    topic: str
-    subscribers: tuple[str, ...] = ()
-    cursor: int = 0
-    current_body: str | None = None
-    body_cursor: int = 0
-
-
-@dataclass
-class Spammer:
-    address: str
-    host: str
-    targets: tuple[str, ...] = ()
+    bodies: tuple[str, ...]
+    recipients: tuple[str, ...] = ()
     cursor: int = 0
     current_body: str | None = None
     body_cursor: int = 0
@@ -325,8 +320,7 @@ class World:
 
     Senders hold only their own state. The run-wide settings live here:
     the rates in config, and the three spam options (personalize_spam,
-    bogus_headers, random_words) as attributes. A mailing list or spammer
-    is idle while its current_body is None. Single-owner; advance with
+    bogus_headers, random_words) as attributes. Single-owner; advance with
     step(world, rng). Parallel runs should use independent worlds and
     independent rngs.
     """
@@ -351,11 +345,12 @@ class World:
         self.personalize_spam = personalize_spam
         self.bogus_headers = bogus_headers
         self.random_words = random_words
-        self.corpora = {c.topic: c for c in ham_corpora}
-        self.spam_corpus = spam_corpus
         self.step_no = 0
         self.msg_seq = 0
 
+        # a sender's topic is a draw of rng.choice(topics); the last corpus
+        # of a topic holds its bodies
+        topic_bodies = {c.topic: c.bodies for c in ham_corpora}
         topics = [c.topic for c in ham_corpora]
         addresses = [f"user{i}@example.org" for i in range(config.n_users)]
         self.users = [
@@ -363,26 +358,27 @@ class World:
                 index=i,
                 address=addresses[i],
                 host=f"host{i}.client.example",
-                topic=rng.choice(topics),
+                bodies=topic_bodies[rng.choice(topics)],
                 body_cursor=i,
             )
             for i in range(config.n_users)
         ]
         self.mailing_lists = [
-            MailingList(
+            BulkSender(
                 address=f"list{j}@lists.example.org",
                 host=f"list{j}.lists.example",
-                topic=rng.choice(topics),
-                subscribers=tuple(rng.sample(addresses, config.n_subscribers)),
+                bodies=topic_bodies[rng.choice(topics)],
+                recipients=tuple(rng.sample(addresses, config.n_subscribers)),
                 body_cursor=j,
             )
             for j in range(config.n_mailing_lists)
         ]
         self.spammers = [
-            Spammer(
+            BulkSender(
                 address=f"deals{k}@bulkmail.example.net",
                 host=f"relay{k}.open.example",
-                targets=tuple(rng.sample(addresses, config.n_targets)),
+                bodies=spam_corpus.bodies,
+                recipients=tuple(rng.sample(addresses, config.n_targets)),
             )
             for k in range(config.n_spammers)
         ]
@@ -437,45 +433,42 @@ def _step_user(world, out, user, rng):
     fields, getrandbits = (to, cc, bcc), rng.getrandbits
     for idx in indices:
         fields[_randbelow(getrandbits, 3)].append(world.users[idx].address)
-    corpus = world.corpora[user.topic]
-    body = corpus.bodies[user.body_cursor % len(corpus.bodies)]
+    bodies = user.bodies
+    body = bodies[user.body_cursor % len(bodies)]
     user.body_cursor += 1
     _emit(world, out, user, body, to, cc, bcc, Label.HAM)
 
 
-def _step_mailing_list(world, out, ml, rng):
-    if ml.current_body is None:
-        if rng.random() >= world.config.send_prob or not ml.subscribers:
-            return
-        corpus = world.corpora[ml.topic]
-        ml.current_body = corpus.bodies[ml.body_cursor % len(corpus.bodies)]
-        ml.body_cursor += 1
-        ml.cursor = 0
-    _emit(
-        world, out, ml, ml.current_body,
-        [ml.subscribers[ml.cursor]], [], [], Label.HAM,
-    )
-    ml.cursor += 1
-    if ml.cursor >= len(ml.subscribers):
-        ml.current_body = None
+def _bulk_run(sender, rng, p, size):
+    """The run rule of a bulk sender, for one step. While idle, one draw
+    against p starts a run, unless the sender has no recipients; the run
+    takes the next body, each step sends it to the next size recipients,
+    and the sender is idle again once its database is done. Returns this
+    step's (body, recipients), or None while the sender is idle."""
+    body = sender.current_body
+    if body is None:
+        if rng.random() >= p or not sender.recipients:
+            return None
+        body = sender.bodies[sender.body_cursor % len(sender.bodies)]
+        sender.current_body, sender.cursor = body, 0
+        sender.body_cursor += 1
+    start, recipients = sender.cursor, sender.recipients
+    chunk = recipients[start : start + size]
+    sender.cursor = start + len(chunk)
+    if sender.cursor >= len(recipients):
+        sender.current_body = None
+    return body, chunk
 
 
-def _step_spammer(world, out, sp, rng):
-    config = world.config
-    if sp.current_body is None:
-        if rng.random() >= config.activation_prob or not sp.targets:
-            return
-        sp.cursor = 0
-        bodies = world.spam_corpus.bodies
-        sp.current_body = bodies[sp.body_cursor % len(bodies)]
-        sp.body_cursor += 1
-    chunk = sp.targets[sp.cursor : sp.cursor + config.burst_rate]
+def _step_spammer(world, out, sp, payload, chunk, rng):
+    """Send one step's chunk of a spam run: one message per recipient when
+    personalized, else Bcc batches of up to BCC_BATCH_SIZE."""
     personal = world.personalize_spam
     size = 1 if personal else BCC_BATCH_SIZE
     getrandbits = rng.getrandbits
     for i in range(0, len(chunk), size):
         batch = chunk[i : i + size]
-        body = sp.current_body
+        body = payload
         if personal:
             body = personalize(body, batch[0])
         # 10 + _randbelow(.., 21) is rng.randint(10, 30), 1 + .. is randint(1, 3)
@@ -487,9 +480,6 @@ def _step_spammer(world, out, sp, rng):
             forged = _forged_received(1 + _randbelow(getrandbits, 3), rng)
         to, bcc = (batch, ()) if personal else ((), batch)
         _emit(world, out, sp, body, to, (), bcc, Label.SPAM, forged)
-    sp.cursor += len(chunk)
-    if sp.cursor >= len(sp.targets):
-        sp.current_body = None
 
 
 def step(world: World, rng) -> list[tuple[Message, ConnectionLogEntry]]:
@@ -499,13 +489,16 @@ def step(world: World, rng) -> list[tuple[Message, ConnectionLogEntry]]:
     spammers); each emitted message is paired with its connection-log
     entry.
     """
+    config = world.config
     out: list[tuple[Message, ConnectionLogEntry]] = []
     for user in world.users:
         _step_user(world, out, user, rng)
     for ml in world.mailing_lists:
-        _step_mailing_list(world, out, ml, rng)
+        if run := _bulk_run(ml, rng, config.send_prob, 1):
+            _emit(world, out, ml, *run, (), (), Label.HAM)
     for sp in world.spammers:
-        _step_spammer(world, out, sp, rng)
+        if run := _bulk_run(sp, rng, config.activation_prob, config.burst_rate):
+            _step_spammer(world, out, sp, *run, rng)
     world.step_no += 1
     return out
 
@@ -614,7 +607,7 @@ def _pilot(draws: _PilotDraws, multiplier: float) -> float:
     """Dry-run estimate of the recipient-weighted spam fraction over one
     seed's parsed draws, for draws.steps steps.
 
-    Mirrors the sender state machines of step() while counting deliveries
+    Mirrors the run rules of step() while counting deliveries
     only, so calibration pilots cost no message construction. It replays
     exactly the per-draw dry run over random.Random(seed).random (one draw
     per user and per idle sender, plus each user send's geometric draw),
@@ -622,35 +615,30 @@ def _pilot(draws: _PilotDraws, multiplier: float) -> float:
     makes that parse once per pilot seed and reuses it for every multiplier.
     """
     config = draws.config
-    n_users, send_prob, burst_rate = config.n_users, config.send_prob, config.burst_rate
-    n_lists, n_spammers = config.n_mailing_lists, config.n_spammers
-    n_subscribers, n_targets = config.n_subscribers, config.n_targets
     activation = min(1.0, config.activation_prob * multiplier)
-    values = draws.draws
-
-    list_remaining = [0] * n_lists
-    spam_remaining = [0] * n_spammers
+    values, n_users = draws.draws, config.n_users
+    # (p, size, database, is spam) of each bulk sender, in step() order;
+    # a run over an empty database sends nothing, as step() starts none
+    senders = ([(config.send_prob, 1, config.n_subscribers, False)] * config.n_mailing_lists
+               + [(activation, config.burst_rate, config.n_targets, True)] * config.n_spammers)
+    remaining = [0] * len(senders)  # > 0 while the sender is in a run
     ham = spam = pos = 0
     for _ in range(draws.steps):
         user_ham, pos = draws.walk(pos, n_users)
         ham += user_ham
-        for j in range(n_lists):
-            if list_remaining[j] == 0:
+        for i, (p, size, database, is_spam) in enumerate(senders):
+            left = remaining[i]
+            if left == 0:
                 pos += 1
-                if values[pos - 1] >= send_prob:
+                if values[pos - 1] >= p:
                     continue
-                list_remaining[j] = n_subscribers
-            ham += 1
-            list_remaining[j] -= 1
-        for k in range(n_spammers):
-            if spam_remaining[k] == 0:
-                pos += 1
-                if values[pos - 1] >= activation:
-                    continue
-                spam_remaining[k] = n_targets
-            sent = min(burst_rate, spam_remaining[k])
-            spam += sent
-            spam_remaining[k] -= sent
+                left = database
+            sent = size if size < left else left
+            remaining[i] = left - sent
+            if is_spam:
+                spam += sent
+            else:
+                ham += sent
     if ham + spam == 0:
         return 0.0
     return spam / (ham + spam)

@@ -1,4 +1,5 @@
 import random
+import shlex
 
 import pytest
 
@@ -142,3 +143,19 @@ def build_scenario_files(root, sim_overrides=None, scenario_overrides=None):
 @pytest.fixture
 def scenario_builder():
     return build_scenario_files
+
+
+def sh(script):
+    return f"sh -c {shlex.quote(script)}"
+
+
+# a user-level keyword wrapper, and a server-level one that answers from the
+# length of the connection log and exits 1 unless the log's last line is
+# the message's own connection, flushed before the wrapper started
+KEYWORD = sh("if grep -q spamword; then echo spam; else echo ham; fi")
+LOG_PARITY = sh(
+    "from=$(sed -n 's/^From: //p' | head -n 1);"
+    ' case "$(tail -n 1 "$SPAMLAB_CONNLOG")" in *"\t$from\t"*) ;; *) exit 1 ;; esac;'
+    ' n=$(wc -l < "$SPAMLAB_CONNLOG");'
+    " if [ $((n % 3)) -eq 0 ]; then echo spam; else echo ham; fi"
+)

@@ -371,8 +371,7 @@ class TestTokenMemo:
         )
         f = build_filter(binding)
         ham_paths, spam_paths = emit_training_sets(train_stream, tmp_path)
-        train(f, ham_paths[0], spam_paths[0])
-        f.train_user_models(train_stream)
+        train(f, ham_paths[0], spam_paths[0], train_stream)
         general = train_bayes(ham_paths[0], spam_paths[0], f.n, f.threshold)
         assert f.model == general
         expected = {}
@@ -383,6 +382,9 @@ class TestTokenMemo:
             if min(len(ham), len(spam)) >= 20:
                 expected[addr] = train_messages(ham, spam, f.n, f.threshold)
         assert f.user_models == expected and len(expected) >= 2
+        server = build_filter(replace(binding, level=Level.SERVER))
+        train(server, ham_paths[0], spam_paths[0], train_stream)
+        assert server.model == general and server.user_models == {}
 
         for m in seeded_stream(102, 300, unseen=True):
             model = expected.get(m.recipients[0], general)

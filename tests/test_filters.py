@@ -262,7 +262,7 @@ class TestTrain:
         ]
         ham_paths, spam_paths = emit_training_sets(stream, tmp_path)
         f = build_filter(self.bayes_binding())
-        train(f, ham_paths[0], spam_paths[0])
+        train(f, ham_paths[0], spam_paths[0], stream)
         assert f.model.n_spam_msgs == 1
         assert f.model.n_ham_msgs == 1
 
@@ -296,7 +296,7 @@ class TestTrain:
         ham_paths, _ = emit_training_sets(stream, tmp_path)
         f = build_filter(self.bayes_binding())
         with pytest.raises(TrainerFailed):
-            train(f, ham_paths[0], tmp_path / "missing.mbox")
+            train(f, ham_paths[0], tmp_path / "missing.mbox", stream)
 
     def test_classify_before_train_fails(self):
         f = build_filter(self.bayes_binding())
@@ -318,7 +318,7 @@ class TestTrain:
         ham.write_text("")
         spam.write_text("")
         f = build_filter(binding)
-        train(f, ham, spam)
+        train(f, ham, spam, [])
         assert str(ham) in marker.read_text()
         assert str(spam) in marker.read_text()
 
@@ -327,7 +327,7 @@ class TestTrain:
             trainer_command=f"{shlex.quote(sys.executable)} -c 'raise SystemExit(3)'",
         )
         with pytest.raises(TrainerFailed, match=r"^bad: trainer exited 3$"):
-            train(build_filter(failing), ham, spam)
+            train(build_filter(failing), ham, spam, [])
 
         # the message ends with the last non-empty line the trainer printed
         # on stderr
@@ -342,7 +342,7 @@ class TestTrain:
         with pytest.raises(
             TrainerFailed, match=r"^bad: trainer exited 3: no state dir$"
         ):
-            train(build_filter(explained), ham, spam)
+            train(build_filter(explained), ham, spam, [])
 
 
 class TestBuiltinRegistry:

@@ -1,15 +1,20 @@
-"""The report bytes of two small scenario runs, pinned by SHA-256.
+"""The report bytes of four small scenario runs, pinned by SHA-256.
 
 A change that moves any of these files on purpose updates the digests
 here and says why in CHANGES.md; any other change must leave them as they
 are. The outputs do not depend on PYTHONHASHSEED.
+
+The plain run gets every verdict right, so it cannot show a change in
+Bayes scoring; the mixed run, with random words, has wrong verdicts at
+both levels, and the wrappers run pins two deterministic sh wrappers, one
+of them reading the connection log.
 """
 
 import hashlib
 
 import pytest
 
-from conftest import build_scenario_files
+from conftest import KEYWORD, LOG_PARITY, build_scenario_files
 from spamlab.evalcli import load_scenario, run_scenario
 
 GOLDEN = {
@@ -29,6 +34,25 @@ GOLDEN = {
             "results.txt": "f6795c0a8b498cdad468c5631e0299f1eb7caeaac8a60866d975a0498076531c",
             "connections.log": "7b8d256b574de3b08e5c056b69bef5088e74f3b1c8cb062462bb93c22539be0f",
             "farfrr.svg": "730573018f26cb159d2ca3a192c9d7a75011b5c1d8b8bc2a1d78d9347fef3c37",
+        },
+    ),
+    "mixed": (  # ss/sh/hs/hh: bayes 2/7/2/414, bs 2/7/0/416
+        {"filters": "bayes U; bs S bayes", "random_words": "true"},
+        {
+            "results.csv": "0997d99aab9071816c0b911aae81606d7c3aa90b2be527d16357d37520f49ae3",
+            "results.txt": "14168052805d5c789605bbe6b34dfb8466211c434ab397272a44c8811008953f",
+            "connections.log": "9352e17d737bf8cedcddba3ac2944f63aa90b4c824e45f3ac934172dd244b3d6",
+            "farfrr.svg": "905507e9aabed72dcc5bfe7542b81618d9c2e2edeabc205ada150155abb8d59b",
+        },
+    ),
+    "wrappers": (
+        {"filters": "log S; kw U", "training_steps": 0, "eval_steps": 6,
+         "external.kw": KEYWORD, "external.log": LOG_PARITY, "connlog.log": "true"},
+        {
+            "results.csv": "b67f98cef7fa204c2a702e23616318b7f91c03f6dfa43dd5a3f8c196707a0d8b",
+            "results.txt": "cae87779c9434dac8db0b92fdca936dbdf0d302b6d033b718d66b4ac79b42c6e",
+            "connections.log": "b198a8f6e2371535e30980d0a9e276c0c98cef15072d10fbab558a3dd1d55aaa",
+            "farfrr.svg": "5eb336906ef36cd6e8d17d4ceed06a1a948a73f47a4444a667592836a41ed7e9",
         },
     ),
 }

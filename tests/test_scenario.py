@@ -8,10 +8,11 @@ import threading
 import time
 import weakref
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
-from conftest import DEFAULT_SIM, build_scenario_files
+from conftest import DEFAULT_SIM, KEYWORD, LOG_PARITY, build_scenario_files, sh
 from spamlab import evalcli
 from spamlab.corpus import Label, Verdict
 from spamlab.errors import ConfigInvalid
@@ -220,22 +221,6 @@ class TestRunScenario:
         monkeypatch.setattr(evalcli, "classify", checking_classify)
         run_scenario(scenario, tmp_path / "out")
         assert training and alive == [[]]
-
-
-def sh(script):
-    return f"sh -c {shlex.quote(script)}"
-
-
-# a user-level keyword wrapper, and a server-level one that answers from the
-# length of the connection log and exits 1 unless the log's last line is
-# the message's own connection, flushed before the wrapper started
-KEYWORD = sh("if grep -q spamword; then echo spam; else echo ham; fi")
-LOG_PARITY = sh(
-    "from=$(sed -n 's/^From: //p' | head -n 1);"
-    ' case "$(tail -n 1 "$SPAMLAB_CONNLOG")" in *"\t$from\t"*) ;; *) exit 1 ;; esac;'
-    ' n=$(wc -l < "$SPAMLAB_CONNLOG");'
-    " if [ $((n % 3)) -eq 0 ]; then echo spam; else echo ham; fi"
-)
 
 
 class TestSideBySideWrappers:
@@ -620,6 +605,17 @@ class TestCli:
             for name in reports:
                 assert (out / name).read_bytes() == before[name], (path, name)
         assert before["results.txt"].count(b"\nnote: ") == 4
+
+    def test_svg_is_well_formed_for_any_filter_name(self, tmp_path, scenario_builder):
+        path = scenario_builder(
+            tmp_path, scenario_overrides={"filters": "a&b<c>d U bayes; pass-all U"}
+        )
+        out = tmp_path / "cli-out"
+        for argv in (["run", str(path), "-o", str(out)], ["report", str(out)]):
+            assert main(argv) == 0
+            svg = ElementTree.fromstring((out / "farfrr.svg").read_bytes())
+            labels = {t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")}
+            assert {"a&b<c>d (U)", "pass-all (U)"} <= labels, argv
 
     def test_report_verb_reports_bad_run_directories(self, tmp_path, capsys):
         empty = tmp_path / "empty"

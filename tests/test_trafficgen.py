@@ -73,13 +73,12 @@ def reference_step_spammer(world, out, sp, rng):
     of the message: rng.randint and rng.choice per random word, and a
     second message with the forged entries prepended."""
     if sp.current_body is None:
-        if rng.random() >= world.config.activation_prob or not sp.targets:
+        if rng.random() >= world.config.activation_prob or not sp.recipients:
             return
         sp.cursor = 0
-        bodies = world.spam_corpus.bodies
-        sp.current_body = bodies[sp.body_cursor % len(bodies)]
+        sp.current_body = sp.bodies[sp.body_cursor % len(sp.bodies)]
         sp.body_cursor += 1
-    chunk = sp.targets[sp.cursor : sp.cursor + world.config.burst_rate]
+    chunk = sp.recipients[sp.cursor : sp.cursor + world.config.burst_rate]
     if world.personalize_spam:
         batches = [[t] for t in chunk]
     else:
@@ -105,8 +104,20 @@ def reference_step_spammer(world, out, sp, rng):
             forged = _forged_received(rng.randint(1, 3), rng)
             out[-1] = (replace(m, received_headers=forged + m.received_headers), entry)
     sp.cursor += len(chunk)
-    if sp.cursor >= len(sp.targets):
+    if sp.cursor >= len(sp.recipients):
         sp.current_body = None
+
+
+def reference_step(world, rng):
+    """step(), with each spammer's turn taken by reference_step_spammer."""
+    spammers, world.spammers = world.spammers, []
+    out = step(world, rng)
+    world.step_no -= 1  # the spammers' turn is still in this step
+    for sp in spammers:
+        reference_step_spammer(world, out, sp, rng)
+    world.spammers = spammers
+    world.step_no += 1
+    return out
 
 
 def reference_pilot(config, multiplier, steps, seed):
@@ -375,13 +386,13 @@ class TestStep:
         world.users.clear()
         ml = world.mailing_lists[0]
         seen = []
-        for _ in range(len(ml.subscribers)):
+        for _ in range(len(ml.recipients)):
             out = step(world, rng)
             assert len(out) == 1
             m = out[0][0]
             assert m.truth is Label.HAM
             seen.append(m.to_addrs[0])
-        assert tuple(seen) == ml.subscribers
+        assert tuple(seen) == ml.recipients
         assert ml.current_body is None
 
     def test_mailing_list_sends_one_body_per_iteration(self):
@@ -392,7 +403,7 @@ class TestStep:
         world.users.clear()
         ml = world.mailing_lists[0]
         bodies = set()
-        for _ in range(len(ml.subscribers)):
+        for _ in range(len(ml.recipients)):
             bodies.add(step(world, rng)[0][0].body)
         assert len(bodies) == 1
 
@@ -444,10 +455,39 @@ class TestStep:
             streams.append("\x00".join(rendered).encode())
         assert streams[0] == streams[1]
 
-    def test_personalized_spam_matches_the_reference_draws(self, monkeypatch):
+    def test_list_and_spammer_share_the_run_rule(self):
+        """A list and a spammer with the same recipients, p and size go
+        through the same idle -> run -> idle cycles on the same draws."""
+        config = SimConfig(n_users=30, n_mailing_lists=1, n_spammers=1, seed=3,
+                           send_prob=0.4, activation_prob=0.4, burst_rate=1)
+        runs = []
+        for kind in ("mailing_lists", "spammers"):
+            world, rng = build_world(config)
+            world.users.clear()
+            sender = getattr(world, kind)[0]
+            sender.recipients = world.mailing_lists[0].recipients
+            world.mailing_lists = [sender] if kind == "mailing_lists" else []
+            world.spammers = [sender] if kind == "spammers" else []
+            trace = []
+            for _ in range(40):
+                sent = [m.recipients for m, _ in step(world, rng)]
+                trace.append((sent, sender.current_body is None, rng.getstate()))
+            runs.append(trace)
+        assert runs[0] == runs[1]
+        # idle, then a run through the recipients, idle after its last step
+        sent, idle, _ = zip(*runs[0])
+        recipients = world.spammers[0].recipients
+        start = sent.index([recipients[:1]])
+        end = start + len(recipients)
+        assert start > 0 and sent[:start] == ([],) * start and all(idle[:start])
+        assert list(sent[start:end]) == [[(r,)] for r in recipients]
+        assert idle[start:end + 1] == (False,) * (len(recipients) - 1) + (True, True)
+        assert sent[end] == []
+
+    def test_personalized_spam_matches_the_reference_draws(self):
         """Server-bulk-style spam (personalized, forged Received: entries,
-        random words) is the stream the reference spammer step below makes:
-        same messages, same log entries, same rng state after."""
+        random words) is the stream the reference spammer step makes: same
+        messages, same log entries, same rng state after."""
         config = SimConfig(
             n_users=40, n_mailing_lists=1, n_spammers=3, seed=5,
             send_prob=0.2, activation_prob=0.3, burst_rate=7,
@@ -458,14 +498,13 @@ class TestStep:
             bodies=tuple(f"word{i} other{i % 7} more{i % 13}" for i in range(300)),
         )
         runs = []
-        for spammer_step in (trafficgen._step_spammer, reference_step_spammer):
-            monkeypatch.setattr(trafficgen, "_step_spammer", spammer_step)
+        for world_step in (step, reference_step):
             rng = random.Random(config.seed)
             world = World(config, [HAM_CORPUS, corpus], SPAM_CORPUS, rng,
                           personalize_spam=True, bogus_headers=True,
                           random_words=True)
             assert len(world.dictionary) > 256  # a draw can be rejected
-            stream = [pair for _ in range(40) for pair in step(world, rng)]
+            stream = [pair for _ in range(40) for pair in world_step(world, rng)]
             runs.append((stream, rng.getstate()))
         (stream, state), (expected, expected_state) = runs
         assert stream == expected and state == expected_state
