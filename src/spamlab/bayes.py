@@ -8,8 +8,7 @@ rule into a spam posterior that is compared against a threshold.
 Every function that tokenizes takes an optional token lookup (text ->
 tokens), plain tokenize by default. A filter that sees the same texts
 again and again passes a TokenMemo instead, which keeps the tokens of
-every text it is asked for twice, and classifies with classify_memoised,
-which keeps each model's verdict on every text it is asked for twice.
+every text it is asked for twice.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class TokenMemo(Memo):
 
 
 class Text(NamedTuple):
-    """The message fields Bayes reads; the key of a model's verdict memo."""
+    """The message fields Bayes reads, as a hashable key."""
 
     subject: str
     body: str
@@ -67,10 +66,9 @@ class BayesModel:
 
     The counts must not change after training: word_spaminess fills the
     spaminess table (word -> p) as classification asks for words, with
-    the words this model counted only (any other word is neutral), and
-    classify_memoised keeps verdicts in the verdict memo, so a changed
-    count would leave their entries stale. The table and the memo are left
-    out of repr and ==, and dataclasses.replace gives the copy empty ones.
+    the words this model counted only (any other word is neutral), so a
+    changed count would leave its entries stale. The table is left out of
+    repr and ==, and dataclasses.replace gives the copy an empty one.
     """
 
     spam_count: Counter = field(default_factory=Counter)
@@ -82,10 +80,6 @@ class BayesModel:
     prior_spam: float = 0.5
     spaminess: dict[str, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
-    )
-    # Text -> Verdict, made at the first classify_memoised call
-    verdicts: Memo | None = field(
-        default=None, init=False, repr=False, compare=False
     )
 
 
@@ -173,25 +167,6 @@ def bayes_classify(model: BayesModel, m, tokens=None) -> Verdict:
     p = posterior_spam(model, words)
     label = Label.SPAM if p > model.threshold else Label.HAM
     return Verdict(label, p)
-
-
-def classify_memoised(model: BayesModel, m, tokens) -> Verdict:
-    """bayes_classify(model, m, tokens), memoised per model.
-
-    model.verdicts is a Memo keyed by Text(m.subject, m.body): a text's
-    verdict is computed at its first and second lookup and stored from the
-    second. The memo classifies with the token lookup of the first call;
-    a token lookup decides how tokens are found, never which, so the
-    verdicts are those of plain bayes_classify.
-    """
-    verdicts = model.verdicts
-    if verdicts is None:
-        # bayes_classify is looked up at each call, so a patch on
-        # bayes.bayes_classify sees every verdict computed
-        verdicts = model.verdicts = Memo(
-            lambda text: bayes_classify(model, text, tokens)
-        )
-    return verdicts(Text(m.subject, m.body))
 
 
 def train_bayes(

@@ -122,9 +122,11 @@ class BayesFilterState:
     min_user_messages of each class in training; thinner mailboxes stay on
     the general model, whose vocabulary coverage is far better. All models
     and classification share one TokenMemo, so the filter tokenizes a text
-    at most twice in its run, however many models read it, and each model
-    keeps the verdicts of the texts it classifies twice or more
-    (bayes.classify_memoised).
+    at most twice in its run, however many models read it. The filter keeps
+    the verdicts that recur in one Memo, keyed by the deciding mailbox
+    (None for the general model) and the text, so it classifies a text at
+    most twice per model. A filter is trained once: its memo is never
+    cleared.
     """
 
     OPTIONS = {"n": (int, 1, None), "threshold": (float, 0, 1),
@@ -144,6 +146,11 @@ class BayesFilterState:
         self.model = None
         self.user_models: dict[str, bayes.BayesModel] = {}
         self.tokens = bayes.TokenMemo()
+        # (owner, Text) -> Verdict; bayes.bayes_classify is looked up at
+        # each call, so a patch on it sees every verdict computed
+        self.verdicts = Memo(lambda key: bayes.bayes_classify(
+            self.user_models.get(key[0], self.model), key[1], self.tokens
+        ))
 
     def train(self, ham, spam, stream) -> None:
         """Train the general model from the ham and spam mboxes and, at
@@ -169,13 +176,14 @@ class BayesFilterState:
                 )
 
     def classify(self, m: Message) -> Verdict:
-        model = self.model
-        if self.user_models:
-            # user-level deployment: the first recipient's mailbox filter
-            model = self.user_models.get(m.recipients[0], model)
-        if model is None:
+        if self.model is None:
             raise TrainerFailed(f"{self.binding.name}: classify before train")
-        return bayes.classify_memoised(model, m, self.tokens)
+        # user-level deployment: the first recipient's mailbox filter, if
+        # the mailbox has one; None stands for the general model
+        owner = m.recipients[0]
+        if owner not in self.user_models:
+            owner = None
+        return self.verdicts((owner, bayes.Text(m.subject, m.body)))
 
 
 class VolumeFilterState:

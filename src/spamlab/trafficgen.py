@@ -219,7 +219,7 @@ class NormalUser:
 
 @dataclass
 class BulkSender:
-    """A mailing list (its topic's bodies, its subscribers) or a spammer
+    """A mailing list (its ham corpus's bodies, its subscribers) or a spammer
     (the spam bodies, its address database). It is idle while current_body
     is None; in a run, cursor counts the recipients already sent to."""
 
@@ -348,17 +348,13 @@ class World:
         self.step_no = 0
         self.msg_seq = 0
 
-        # a sender's topic is a draw of rng.choice(topics); the last corpus
-        # of a topic holds its bodies
-        topic_bodies = {c.topic: c.bodies for c in ham_corpora}
-        topics = [c.topic for c in ham_corpora]
         addresses = [f"user{i}@example.org" for i in range(config.n_users)]
         self.users = [
             NormalUser(
                 index=i,
                 address=addresses[i],
                 host=f"host{i}.client.example",
-                bodies=topic_bodies[rng.choice(topics)],
+                bodies=rng.choice(ham_corpora).bodies,
                 body_cursor=i,
             )
             for i in range(config.n_users)
@@ -367,7 +363,7 @@ class World:
             BulkSender(
                 address=f"list{j}@lists.example.org",
                 host=f"list{j}.lists.example",
-                bodies=topic_bodies[rng.choice(topics)],
+                bodies=rng.choice(ham_corpora).bodies,
                 recipients=tuple(rng.sample(addresses, config.n_subscribers)),
                 body_cursor=j,
             )

@@ -1,8 +1,11 @@
 from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from spamlab import bayes, bulk, filters
+from spamlab.bayes import Text
 from spamlab.corpus import tokenize
 from spamlab.evalcli import load_scenario, run_scenario
 from spamlab.memo import Memo
@@ -22,8 +25,8 @@ LINEUPS = {
 
 @pytest.fixture
 def counting_memos(monkeypatch):
-    """The verdict memos (made in bayes) and digest memos (made in filters)
-    of a run; each counts the lookups of every key in .lookups."""
+    """The verdict and digest memos of a run (both made in filters); each
+    counts the lookups of every key in .lookups."""
     made = []
 
     class CountingMemo(Memo):
@@ -36,7 +39,6 @@ def counting_memos(monkeypatch):
             self.lookups[key] += 1
             return self[key]
 
-    monkeypatch.setattr(bayes, "Memo", CountingMemo)
     monkeypatch.setattr(filters, "Memo", CountingMemo)
     return made
 
@@ -44,12 +46,8 @@ def counting_memos(monkeypatch):
 def plain_recomputation(monkeypatch):
     """Tokens, verdicts and digests computed afresh at every lookup."""
     monkeypatch.setattr(bayes, "TokenMemo", lambda: tokenize)
-    monkeypatch.setattr(
-        bayes, "classify_memoised",
-        lambda model, m, tokens: bayes.bayes_classify(model, m, tokens),
-    )
-    # no digest lookup: checksum_classify hashes each body itself
-    monkeypatch.setattr(filters, "Memo", lambda compute: None)
+    # a memo that is its compute function recomputes at every lookup
+    monkeypatch.setattr(filters, "Memo", lambda compute: compute)
 
 
 class TestMemo:
@@ -132,3 +130,33 @@ class TestMemosInARun:
             kind = "checksum" if isinstance(next(iter(memo.lookups)), str) else "bayes"
             misses[kind] += sum(min(n, 2) for n in memo.lookups.values())
         assert calls == misses and calls["bayes"] > 0 and calls["checksum"] > 0
+
+
+class TestVerdictMemo:
+    def test_key_names_the_deciding_model(self):
+        """One text sent to a mailbox with its own model and to one on the
+        general model is stored under two keys, with each model's verdict."""
+        def model(spam_words, ham_words):
+            spam = [Text("", spam_words)] * 3
+            ham = [Text("", ham_words)] * 3
+            return bayes.train_messages(ham, spam)
+
+        general = model("offer today", "meeting notes")
+        own = model("meeting notes", "offer today")
+        f = filters.build_filter(filters.FilterBinding(
+            name="bayes", level=filters.Level.USER, builtin="bayes",
+        ))
+        f.model, f.user_models = general, {"alice@example.org": own}
+        verdicts = {}
+        for addr in ("alice@example.org", "bob@example.org") * 2:
+            m = SimpleNamespace(
+                recipients=(addr,), subject="hello", body="offer today"
+            )
+            verdicts.setdefault(addr, set()).add(f.classify(m))
+        text = Text("hello", "offer today")
+        assert set(f.verdicts) == {("alice@example.org", text), (None, text)}
+        assert verdicts == {
+            "alice@example.org": {bayes.bayes_classify(replace(own), text)},
+            "bob@example.org": {bayes.bayes_classify(replace(general), text)},
+        }
+        assert verdicts["alice@example.org"] != verdicts["bob@example.org"]

@@ -90,6 +90,20 @@ class TestScenarioLoading:
         assert build_filter(volume).window.count_recipients is True
         assert all("threshold" not in b.options for b in scenario.filters)
 
+    def test_readme_config_examples_load(self, tmp_path):
+        """README's two ini blocks, the scenario and its sim.cfg, load as
+        written."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        scenario_text, sim_text = readme.split("```ini\n")[1:3]
+        (tmp_path / "scenario.cfg").write_text(scenario_text.split("```")[0])
+        (tmp_path / "sim.cfg").write_text(sim_text.split("```")[0])
+        scenario = load_scenario(tmp_path / "scenario.cfg")
+        assert scenario.name == "baseline" and scenario.eval_steps == 10000
+        assert [b.level for b in scenario.filters] == [
+            Level.USER, Level.SERVER, Level.SERVER, Level.USER,
+        ]
+        assert scenario.sim.n_users == 500 and scenario.sim.spammer_db_size == 20
+
 
 class TestRunScenario:
     def test_reports_written_and_counts_consistent(self, tmp_path, scenario_builder):

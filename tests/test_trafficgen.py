@@ -567,6 +567,23 @@ class TestStep:
             ids.extend(m.message_id for m, _ in step(world, rng))
         assert len(ids) == len(set(ids))
 
+    def test_corpora_sharing_a_topic_are_all_sent(self):
+        """A sender draws a corpus, not a topic name: two corpora named
+        alike both reach the stream."""
+        config = SimConfig(
+            n_users=20, n_mailing_lists=1, n_spammers=0, send_prob=0.5,
+        )
+        corpora = [
+            Corpus("news", ("first corpus body",), "a"),
+            Corpus("news", ("second corpus body",), "b"),
+        ]
+        rng = random.Random(config.seed)
+        world = World(config, corpora, None, rng)
+        bodies = set()
+        for _ in range(50):
+            bodies.update(m.body for m, _ in step(world, rng))
+        assert bodies == {"first corpus body", "second corpus body"}
+
 
 class TestConnectionLog:
     def test_tab_separated_lines(self):
