@@ -9,6 +9,7 @@ that defeats per-recipient personalization.
 from __future__ import annotations
 
 import re
+from _blake2 import blake2b  # hashlib would load OpenSSL (~3.6 MB RSS)
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -68,27 +69,28 @@ def _normalize_fuzzy(body: str) -> str:
         first += 1
     if first < len(lines) and _DEAR_LINE_RE.match(lines[first].strip()):
         del lines[first]
-    # random-word suffix: the paragraph after the final blank line
-    blanks = [i for i, line in enumerate(lines) if not line.strip()]
-    for i in reversed(blanks):
-        if any(line.strip() for line in lines[i + 1 :]):
+    # random-word suffix: cut at the last blank line before the last text
+    last = len(lines) - 1
+    while last >= 0 and not lines[last].strip():
+        last -= 1
+    for i in range(last - 1, -1, -1):
+        if not lines[i].strip():
             lines = lines[:i]
             break
     return " ".join("\n".join(lines).split())
 
 
 def body_checksum(body: str, fuzzy: bool) -> str:
-    """Stable 64-bit digest of a message body.
+    """Stable 64-bit digest of a message body: 8-byte BLAKE2b in hex, from
+    Python's builtin BLAKE2 module, so a run loads no OpenSSL.
 
     With fuzzy=True the body is normalized first: lowercased, whitespace
     runs collapsed, a leading "Dear <login>," line dropped, and the
     trailing paragraph after the final blank line dropped, so personalized
     variants of one payload collide.
     """
-    import hashlib  # loads OpenSSL (~3.6 MB RSS) only in runs that checksum
-
     text = _normalize_fuzzy(body) if fuzzy else body
-    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+    return blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
 @dataclass

@@ -1,5 +1,11 @@
+import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
+import time
+
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -7,6 +13,7 @@ from conftest import make_message
 from spamlab.bulk import (
     ChecksumDB,
     VolumeWindow,
+    _normalize_fuzzy,
     body_checksum,
     checksum_classify,
     volume_classify,
@@ -101,6 +108,80 @@ class TestBodyChecksum:
         assume(body.upper().lower() == body.lower())
         variant = re.sub(" ", "  ", body.upper())
         assert body_checksum(body, True) == body_checksum(variant, True)
+
+
+def reference_normalize_fuzzy(body):
+    """The fuzzy rule as first written: from the last blank line back, cut
+    at the first one that has a non-blank line after it."""
+    lines = body.lower().split("\n")
+    first = 0
+    while first < len(lines) and not lines[first].strip():
+        first += 1
+    if first < len(lines) and re.match(r"dear\s+\S+,\s*$", lines[first].strip()):
+        del lines[first]
+    blanks = [i for i, line in enumerate(lines) if not line.strip()]
+    for i in reversed(blanks):
+        if any(line.strip() for line in lines[i + 1 :]):
+            lines = lines[:i]
+            break
+    return " ".join("\n".join(lines).split())
+
+
+BODY_LINES = st.sampled_from(
+    ["", "  \t", " ", "Dear x,", "dear  Bob, ", "buy pills", "Act NOW"]
+)
+
+DIGEST_BODIES = [
+    "buy pills", "Dear alice,\nbuy pills\n\nzebra quilt", "", "Grüße, 日本 ½"
+]
+
+
+def run_python(code):
+    """Run code in a fresh interpreter with this process's import path;
+    return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestFuzzyNormalization:
+    @given(st.lists(BODY_LINES, max_size=12))
+    def test_matches_the_reference_rule(self, lines):
+        body = "\n".join(lines)
+        assert _normalize_fuzzy(body) == reference_normalize_fuzzy(body)
+
+    def test_trailing_blank_lines_take_linear_time(self):
+        body = "exclusive deal\n\nact now" + "\n" * 100_000
+        start = time.perf_counter()
+        assert _normalize_fuzzy(body) == "exclusive deal"
+        assert time.perf_counter() - start < 2
+
+
+class TestDigest:
+    def test_is_8_byte_blake2b_hex(self):
+        for body in DIGEST_BODIES:
+            for fuzzy in (False, True):
+                text = _normalize_fuzzy(body) if fuzzy else body
+                expected = hashlib.blake2b(text.encode("utf-8"), digest_size=8)
+                assert body_checksum(body, fuzzy) == expected.hexdigest()
+
+    def test_checksum_run_loads_no_openssl(self, tmp_path, scenario_builder):
+        path = scenario_builder(
+            tmp_path, scenario_overrides={"filters": "checksum S; checksum-fuzzy S"}
+        )
+        out_dir = tmp_path / "out"
+        out = run_python(
+            "import sys\n"
+            "from spamlab.evalcli import load_scenario, run_scenario\n"
+            f"results = run_scenario(load_scenario({str(path)!r}), {str(out_dir)!r})\n"
+            "print(sorted(r.name for r in results))\n"
+            "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n"
+        )
+        assert out.splitlines() == ["['checksum', 'checksum-fuzzy']", "False False"]
 
 
 class TestChecksumFilter:
