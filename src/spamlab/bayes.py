@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import Label, Verdict, parse_message, split_mbox, tokenize
-from .errors import EmptyTrainingSet
+from .errors import ConfigInvalid
 from .memo import Memo
 
 DEFAULT_N_INTERESTING = 15
@@ -208,7 +208,7 @@ def train_messages(
     Token occurrences are counted with multiplicity over subject+body of
     each message; N_S and N_H are message counts and the spam prior is
     N_S/(N_S+N_H). All ham is counted before spam is iterated. tokens is
-    the token lookup (default tokenize). Raises EmptyTrainingSet when
+    the token lookup (default tokenize). Raises ConfigInvalid when
     either side has no messages.
     """
     if tokens is None:
@@ -216,7 +216,7 @@ def train_messages(
     ham_count, n_ham = _count_tokens(ham, tokens)
     spam_count, n_spam = _count_tokens(spam, tokens)
     if n_ham == 0 or n_spam == 0:
-        raise EmptyTrainingSet(f"ham={n_ham} spam={n_spam}")
+        raise ConfigInvalid(f"ham={n_ham} spam={n_spam}")
     return BayesModel(
         spam_count=spam_count,
         ham_count=ham_count,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import EmptyCorpus, MissingPath
+from .errors import ConfigInvalid
 
 
 class Label(Enum):
@@ -233,12 +233,11 @@ def load_corpus(path, topic: str) -> Corpus:
     contributes one body per entry. Bytes are decoded as UTF-8 with
     replacement characters for invalid sequences.
 
-    Raises MissingPath if the path does not exist and EmptyCorpus if it
-    yields zero bodies.
+    Raises ConfigInvalid if the path does not exist or yields zero bodies.
     """
     p = Path(path)
     if not p.exists():
-        raise MissingPath(f"{topic} corpus not found: {p}")
+        raise ConfigInvalid(f"{topic} corpus not found: {p}")
     bodies: list[str] = []
     if p.is_dir():
         for child in sorted(p.iterdir(), key=lambda c: c.name):
@@ -247,7 +246,7 @@ def load_corpus(path, topic: str) -> Corpus:
     else:
         bodies.extend(_bodies_from_file(p))
     if not bodies:
-        raise EmptyCorpus(f"{topic} corpus has no messages: {p}")
+        raise ConfigInvalid(f"{topic} corpus has no messages: {p}")
     return Corpus(topic=topic, bodies=tuple(bodies), source_path=str(p))
 
 

@@ -1,54 +1,27 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package: one class per kind of
+failure. The CLI prints any SpamlabError as one "error: ..." line."""
 
 
 class SpamlabError(Exception):
     """Base class for all spamlab errors."""
 
 
-class MissingPath(SpamlabError):
-    """A corpus path does not exist, or a ham corpus is not a directory."""
-
-
-class EmptyCorpus(SpamlabError):
-    """A corpus source yielded zero bodies."""
-
-
-class MalformedAddress(SpamlabError):
-    """An email address is missing its '@' separator."""
-
-
-class EmptyDictionary(SpamlabError):
-    """Random-word injection was requested with an empty dictionary."""
-
-
-class CalibrationFailed(SpamlabError):
-    """The target spam fraction is unreachable with the configured senders."""
-
-
-class WrapperCrashed(SpamlabError):
-    """An external filter process exited nonzero or produced malformed output."""
+class ConfigInvalid(SpamlabError, ValueError):
+    """A config, a filter binding, or a corpus or training stream that a
+    config names, cannot make a run: a bad key or value, a missing or
+    empty corpus, an empty random-word dictionary, a training stream or
+    set with no ham or no spam, or a spam target calibration cannot
+    reach."""
 
 
 class TrainerFailed(SpamlabError):
     """A filter trainer could not be run or rejected its input."""
 
 
-class EmptyTrainingSet(SpamlabError):
-    """A training mbox contained no messages."""
+class WrapperCrashed(SpamlabError):
+    """An external filter process could not be run, exited nonzero or
+    produced malformed output."""
 
 
 class IoFailure(SpamlabError):
     """A run file could not be written or read back."""
-
-
-class NoSpamEvaluated(SpamlabError):
-    """FAR is undefined: no spam messages were evaluated."""
-
-
-class NoHamEvaluated(SpamlabError):
-    """FRR is undefined: no ham messages were evaluated."""
-
-
-class ConfigInvalid(SpamlabError, ValueError):
-    """A simulation or scenario config, or a filter binding, failed
-    validation."""

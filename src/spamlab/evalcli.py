@@ -21,16 +21,7 @@ from pathlib import Path
 
 from . import trafficgen
 from .corpus import Label, load_corpus
-from .errors import (
-    ConfigInvalid,
-    EmptyTrainingSet,
-    IoFailure,
-    MissingPath,
-    NoHamEvaluated,
-    NoSpamEvaluated,
-    SpamlabError,
-    WrapperCrashed,
-)
+from .errors import ConfigInvalid, IoFailure, SpamlabError, WrapperCrashed
 from .filters import (
     FilterBinding,
     Level,
@@ -76,18 +67,16 @@ class ConfusionCounts:
         return self.hs + self.hh
 
 
-def far(c: ConfusionCounts) -> float:
-    """False acceptance rate: spam delivered as ham over spam evaluated."""
-    if c.n_spam == 0:
-        raise NoSpamEvaluated("no spam messages evaluated")
-    return c.sh / c.n_spam
+def far(c: ConfusionCounts) -> float | None:
+    """False acceptance rate: spam delivered as ham over spam evaluated;
+    None when no spam was evaluated."""
+    return c.sh / c.n_spam if c.n_spam else None
 
 
-def frr(c: ConfusionCounts) -> float:
-    """False rejection rate: ham blocked as spam over ham evaluated."""
-    if c.n_ham == 0:
-        raise NoHamEvaluated("no ham messages evaluated")
-    return c.hs / c.n_ham
+def frr(c: ConfusionCounts) -> float | None:
+    """False rejection rate: ham blocked as spam over ham evaluated; None
+    when no ham was evaluated."""
+    return c.hs / c.n_ham if c.n_ham else None
 
 
 def wrongness(far_value: float, frr_value: float, eps: float = DEFAULT_EPSILON) -> float:
@@ -116,8 +105,7 @@ def score(
     name: str, level: Level, counts: ConfusionCounts, wrapper_errors: int = 0
 ) -> FilterResult:
     """Score one filter's counts: FAR and FRR where defined, W where both are."""
-    far_value = far(counts) if counts.n_spam else None
-    frr_value = frr(counts) if counts.n_ham else None
+    far_value, frr_value = far(counts), frr(counts)
     w = None
     if far_value is not None and frr_value is not None:
         w = wrongness(far_value, frr_value)
@@ -161,6 +149,14 @@ class Scenario:
             raise ConfigInvalid("filter names must be unique")
 
 
+def _parse_level(where, text: str) -> Level:
+    """Read a level (U or S, in any case); raise ConfigInvalid naming where."""
+    try:
+        return Level(text.upper())
+    except ValueError:
+        raise ConfigInvalid(f"{where}: bad level {text!r}") from None
+
+
 def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level) -> FilterBinding:
     """Read one lineup entry and its filter's keys, options included, into
     a binding, which checks the binding rules itself."""
@@ -175,12 +171,7 @@ def _parse_filter_entry(entry: str, values: dict[str, str], default_level: Level
         )
     if "." in name:  # its <name>.<option> keys would split at the wrong dot
         raise ConfigInvalid(f"filter {name}: {name!r} may not contain '.'")
-    level = default_level
-    if len(tokens) >= 2:
-        try:
-            level = Level(tokens[1].upper())
-        except ValueError:
-            raise ConfigInvalid(f"filter {name}: bad level {tokens[1]!r}")
+    level = _parse_level(f"filter {name}", tokens[1]) if len(tokens) >= 2 else default_level
 
     key = f"connlog.{name}"
     command = values.get(f"external.{name}")
@@ -208,10 +199,7 @@ def load_scenario(path) -> Scenario:
     for key in ("spam_corpus", "ham_corpus", "sim", "filters"):
         if key not in values:
             raise ConfigInvalid(f"{path}: missing key {key!r}")
-    try:
-        level = Level(values.get("level", "U").upper())
-    except ValueError:
-        raise ConfigInvalid(f"{path}: bad level {values['level']!r}")
+    level = _parse_level(path, values.get("level", "U"))
     base = path.parent
     made = {
         "name": values.get("name", path.stem),
@@ -230,7 +218,7 @@ def load_scenario(path) -> Scenario:
 def _load_ham_corpora(root: str):
     root_path = Path(root)
     if not root_path.is_dir():
-        raise MissingPath(f"no ham corpus directory at {root}")
+        raise ConfigInvalid(f"no ham corpus directory at {root}")
     topic_dirs = sorted(
         (d for d in root_path.iterdir() if d.is_dir()), key=lambda d: d.name
     )
@@ -264,7 +252,7 @@ def _train_filters(filters, stream, out_dir):
     missing = [c.value for c in Label if all(m.truth is not c for m in stream)]
     if missing:
         names = ", ".join(f.binding.name for f in trainables)
-        raise EmptyTrainingSet(
+        raise ConfigInvalid(
             f"filter {names}: the training stream has no"
             f" {' and no '.join(missing)}; raise training_steps"
         )
@@ -274,28 +262,29 @@ def _train_filters(filters, stream, out_dir):
         train(f, ham_paths[0], spam_paths[0], stream)
 
 
-def _tally(f, m, counts, errors) -> None:
-    """Record f's verdict on m in counts, or its wrapper crash in errors.
-    Only the thread that classifies with f writes f's entries."""
+def _tally(f, position, index, m, counts, errors, failures) -> bool:
+    """Count f's verdict on m, the stream's message index, in counts, or
+    its wrapper crash in errors; record any other exception in failures as
+    (index, position, exception), for run_scenario to raise after the join.
+    Returns whether f may go on. Only the thread that classifies with f
+    writes f's entries."""
     try:
         counts[f.binding.name].record(m.truth, classify(f, m).label)
     except WrapperCrashed:
         errors[f.binding.name] += 1
+    except BaseException as exc:
+        failures.append((index, position, exc))
+        return False
+    return True
 
 
 def _work(f, position, inbox, counts, errors, failures) -> None:
     """Classify each (index, message) taken from inbox with f, until None.
     After its first failure f classifies nothing more but still takes each
     message, so a put on its full inbox cannot block for ever."""
-    failed = False
+    going = True
     while (item := inbox.get()) is not None:
-        index, m = item
-        if not failed:
-            try:
-                _tally(f, m, counts, errors)
-            except BaseException as exc:  # raised by run_scenario after the join
-                failures.append((index, position, exc))
-                failed = True
+        going = going and _tally(f, position, *item, counts, errors, failures)
         inbox.task_done()
 
 
@@ -356,10 +345,7 @@ def run_scenario(scenario: Scenario, out_dir) -> list[FilterResult]:
                 for q in inboxes.values():
                     q.put((index, m))
                 for i, f in builtins:
-                    try:
-                        _tally(f, m, counts, errors)
-                    except Exception as exc:
-                        failures.append((index, i, exc))
+                    _tally(f, i, index, m, counts, errors, failures)
                 for q in readers:
                     q.join()
                 if failures:

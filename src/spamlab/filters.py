@@ -264,35 +264,28 @@ class ExternalFilterState:
 
     def train(self, ham, spam, stream) -> None:
         """Run the trainer on the two mboxes; the stream is not read."""
-        try:
-            proc = subprocess.run(
-                [*self.binding.trainer_argv, str(ham), str(spam)], capture_output=True
-            )
-        except OSError as exc:
-            raise TrainerFailed(f"{self.binding.name}: {exc}") from exc
-        if proc.returncode != 0:
-            # end with the trainer's last stderr line: usually its reason
-            stderr = proc.stderr.decode("utf-8", errors="replace").splitlines()
-            why = next((f": {ln.strip()}" for ln in reversed(stderr) if ln.strip()), "")
-            raise TrainerFailed(
-                f"{self.binding.name}: trainer exited {proc.returncode}{why}"
-            )
+        self._run([*self.binding.trainer_argv, str(ham), str(spam)], None, None,
+                  TrainerFailed, "trainer ")
 
     def classify(self, m: Message) -> Verdict:
+        stdout = self._run(self.binding.argv, render_message(m).encode("utf-8"),
+                           self.env, WrapperCrashed, "")
+        return _parse_wrapper_output(self.binding.name, stdout)
+
+    def _run(self, argv, stdin, env, error, what: str) -> bytes:
+        """Run argv with stdin (bytes, or None to inherit it) and env, and
+        return its stdout. If it cannot start or exits nonzero, raise error
+        naming the filter, then "<what>exited <status>" and the last
+        non-empty line it wrote on stderr, which is usually its reason."""
         try:
-            proc = subprocess.run(
-                self.binding.argv,
-                input=render_message(m).encode("utf-8"),
-                capture_output=True,
-                env=self.env,
-            )
+            proc = subprocess.run(argv, input=stdin, capture_output=True, env=env)
         except OSError as exc:
-            raise WrapperCrashed(f"{self.binding.name}: {exc}") from exc
+            raise error(f"{self.binding.name}: {exc}") from exc
         if proc.returncode != 0:
-            raise WrapperCrashed(
-                f"{self.binding.name}: exited {proc.returncode}"
-            )
-        return _parse_wrapper_output(self.binding.name, proc.stdout)
+            stderr = proc.stderr.decode("utf-8", errors="replace").splitlines()
+            why = next((f": {ln.strip()}" for ln in reversed(stderr) if ln.strip()), "")
+            raise error(f"{self.binding.name}: {what}exited {proc.returncode}{why}")
+        return proc.stdout
 
 
 def _parse_wrapper_output(name: str, stdout: bytes) -> Verdict:

@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .corpus import Corpus, Label, Message, tokenize
-from .errors import (
-    CalibrationFailed,
-    ConfigInvalid,
-    EmptyDictionary,
-    IoFailure,
-    MalformedAddress,
-)
+from .errors import ConfigInvalid, IoFailure
 
 # bound on sigma and recipients_mean: far past it normal draws overflow
 # and 1 - 1/recipients_mean rounds to 1
@@ -264,10 +258,11 @@ def select_recipients(sender_index, n_users, sigma, k, rng) -> list[int]:
 
 
 def personalize(body: str, recipient: str) -> str:
-    """Prepend "Dear <login>,\\n" for the recipient's local part."""
+    """Prepend "Dear <login>,\\n" for the recipient's local part; raise
+    ValueError if the address has no '@'."""
     login, sep, _ = recipient.partition("@")
     if not sep:
-        raise MalformedAddress(recipient)
+        raise ValueError(recipient)
     return f"Dear {login},\n{body}"
 
 
@@ -302,7 +297,7 @@ def add_random_words(body: str, dictionary, count: int, rng) -> str:
     if count == 0:
         return body
     if not dictionary:
-        raise EmptyDictionary("random-word injection needs a dictionary")
+        raise ConfigInvalid("random-word injection needs a dictionary")
     n, getrandbits = len(dictionary), rng.getrandbits
     words = [dictionary[_randbelow(getrandbits, n)] for _ in range(count)]
     return body + "\n\n" + " ".join(words)
@@ -647,7 +642,7 @@ def calibrate_spam_fraction(config: SimConfig) -> SimConfig:
     a global multiplier on activation_prob until the pilot's
     recipient-weighted spam fraction is within CALIBRATION_TOLERANCE / 2
     of target_spam_fraction, for at most CALIBRATION_STEPS steps. Raises
-    CalibrationFailed when the target exceeds what permanently-active
+    ConfigInvalid when the target exceeds what permanently-active
     spammers can produce.
 
     Each multiplier is measured by three pilots, one per pilot seed. Each
@@ -660,7 +655,7 @@ def calibrate_spam_fraction(config: SimConfig) -> SimConfig:
     if config.n_spammers == 0 or config.spammer_db_size == 0:
         if target == 0.0:
             return config
-        raise CalibrationFailed("no spammers configured")
+        raise ConfigInvalid("no spammers configured")
     if target == 0.0:
         return replace(config, activation_prob=0.0)
     if config.activation_prob <= 0:
@@ -678,7 +673,7 @@ def calibrate_spam_fraction(config: SimConfig) -> SimConfig:
 
     ceiling = fraction_at(hi)
     if ceiling + CALIBRATION_TOLERANCE < target:
-        raise CalibrationFailed(
+        raise ConfigInvalid(
             f"target {target:.3f} unreachable: ceiling at full activation"
             f" is {ceiling:.3f}"
         )

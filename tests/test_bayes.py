@@ -21,7 +21,7 @@ from spamlab.bayes import (
     word_spaminess,
 )
 from spamlab.corpus import Label, Verdict, tokenize
-from spamlab.errors import EmptyTrainingSet
+from spamlab.errors import ConfigInvalid
 from spamlab.evalcli import load_scenario, run_scenario
 from spamlab.filters import (
     FilterBinding,
@@ -254,7 +254,7 @@ class TestTrain:
     def test_empty_ham_raises(self, tmp_path):
         spam = [make_message(body="buy", truth=Label.SPAM)]
         ham_path, spam_path = self.write_mboxes(tmp_path, [], spam)
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(ConfigInvalid, match=r"^ham=0 spam=1$"):
             train_bayes(ham_path, spam_path)
 
     def test_disjoint_vocabularies_separate(self, tmp_path, corpus_tools):

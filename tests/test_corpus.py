@@ -18,7 +18,7 @@ from spamlab.corpus import (
     tokenize,
     write_mbox,
 )
-from spamlab.errors import EmptyCorpus, MissingPath
+from spamlab.errors import ConfigInvalid
 
 # hand-built two-message mbox: bodies recovered after the "From " split
 TWO_MESSAGE_MBOX = (
@@ -62,12 +62,15 @@ class TestLoadCorpus:
     def test_empty_directory_raises(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
-        with pytest.raises(EmptyCorpus):
+        expect = f"^topic corpus has no messages: {re.escape(str(d))}$"
+        with pytest.raises(ConfigInvalid, match=expect):
             load_corpus(d, "topic")
 
     def test_missing_path_raises(self, tmp_path):
-        with pytest.raises(MissingPath):
-            load_corpus(tmp_path / "nope", "topic")
+        missing = tmp_path / "nope"
+        expect = f"^topic corpus not found: {re.escape(str(missing))}$"
+        with pytest.raises(ConfigInvalid, match=expect):
+            load_corpus(missing, "topic")
 
     def test_mbox_file_two_entries(self, tmp_path):
         p = tmp_path / "archive.mbox"

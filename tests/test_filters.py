@@ -75,7 +75,14 @@ class TestWrapperProtocol:
 
     def test_nonzero_exit_crashes(self):
         f = build_filter(external_binding("raise SystemExit(1)"))
-        with pytest.raises(WrapperCrashed):
+        with pytest.raises(WrapperCrashed, match=r"^ext: exited 1$"):
+            classify(f, make_message())
+
+    def test_crash_ends_with_the_last_stderr_line(self):
+        # a wrapper crash says why, as a trainer failure does
+        code = "import sys\nsys.stderr.write('reading\\nboom\\n\\n')\nraise SystemExit(1)\n"
+        f = build_filter(external_binding(code))
+        with pytest.raises(WrapperCrashed, match=r"^ext: exited 1: boom$"):
             classify(f, make_message())
 
     def test_empty_output_crashes(self):
