@@ -185,14 +185,14 @@ def train_bayes(
 def _read_mbox(path: str | Path):
     """Parse the messages of an mbox file, one at a time.
 
-    A generator: the file is read at the first next(), so train_bayes
-    never holds the ham and the spam mbox in memory together, and
-    split_mbox cuts out one message text at a time, so beside the file's
-    text only the message being counted is held.
+    A generator: the file is opened at the first next(), so train_bayes
+    never reads the ham and the spam mbox together, and split_mbox reads
+    it a chunk at a time, so only one chunk and the message being counted
+    are held, whatever the file's size.
     """
-    text = Path(path).read_bytes().decode("utf-8", errors="replace")
-    for entry in split_mbox(text):
-        yield parse_message(entry)
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        for entry in split_mbox(fh):
+            yield parse_message(entry)
 
 
 def train_messages(

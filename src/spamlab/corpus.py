@@ -12,6 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
 from .errors import ConfigInvalid
 
@@ -174,22 +175,58 @@ _QUOTABLE_FROM_RE = re.compile(r"^(>*From )", re.M)
 _HEADER_LINE_RE = re.compile(r"^[!-9;-~]+: ?")
 
 
-def split_mbox(text: str) -> Iterator[str]:
-    """Yield the message texts of mbox text, one at a time.
+# Characters split_mbox reads from an mbox file at a time.
+_CHUNK = 1 << 16
+_SEPARATOR = "\nFrom "
 
-    Messages are separated by lines beginning "From "; each separator line
-    is dropped with the newline before it, the one write_mbox appends to
-    the message before. The last message loses one trailing newline, the
-    one write_mbox appends to it, so a message's own last newline is kept.
-    ">From"-style quoting applied by write_mbox is undone. Content before
-    the first separator is ignored. A generator: it cuts out one message
-    text at a time, so a caller that parses as it goes holds one message
-    beside the input.
+
+def split_mbox(source: str | TextIO) -> Iterator[str]:
+    """Yield the message texts of an mbox, one at a time.
+
+    source is the mbox text, or a text file open for reading: open it as
+    encoding="utf-8", errors="replace", newline="" to split a file's bytes
+    as their decoded text would be. Messages are separated by lines
+    beginning "From "; each separator line is dropped with the newline
+    before it, the one write_mbox appends to the message before. The last
+    message loses one trailing newline, the one write_mbox appends to it,
+    so a message's own last newline is kept. ">From"-style quoting applied
+    by write_mbox is undone. Content before the first separator is
+    ignored. A generator: it cuts out one message text at a time, so a
+    caller that parses as it goes holds one message beside a str input,
+    and reads a file a fixed chunk at a time, so of a file it holds that
+    chunk and the message being cut, whatever the file's size.
     """
+    pieces = (source,) if isinstance(source, str) else _mbox_pieces(source)
+    for piece in pieces:
+        yield from _split_text(piece)
+
+
+def _mbox_pieces(fh: TextIO) -> Iterator[str]:
+    """Cut an open mbox file into texts that each end just before a
+    separator line, with its newline, and the rest of the file last; the
+    texts split as the whole text would. Each read is searched with the
+    last len(_SEPARATOR) - 1 characters before it, and pending text is
+    joined only at a cut, so time is linear in the file's length."""
+    pending: list[str] = []
+    tail = ""
+    while chunk := fh.read(_CHUNK):
+        window = tail + chunk
+        tail = window[1 - len(_SEPARATOR) :]
+        cut = window.rfind(_SEPARATOR) + 1
+        pending.append(chunk)
+        if cut:
+            text = "".join(pending)
+            cut += len(text) - len(window)
+            yield text[:cut]
+            pending = [text[cut:]]
+    yield "".join(pending)
+
+
+def _split_text(text: str) -> Iterator[str]:
     if text.startswith("From "):
         start = 0
     else:
-        start = text.find("\nFrom ") + 1
+        start = text.find(_SEPARATOR) + 1
         if not start:
             return
     while True:
@@ -197,7 +234,7 @@ def split_mbox(text: str) -> Iterator[str]:
         if eol < 0:  # a last separator line with no newline
             yield ""
             return
-        end = text.find("\nFrom ", eol)
+        end = text.find(_SEPARATOR, eol)
         entry = text[eol + 1 : end] if end >= 0 else text[eol + 1 :]
         if end < 0 and entry.endswith("\n"):
             entry = entry[:-1]
@@ -230,31 +267,41 @@ def load_corpus(path, topic: str) -> Corpus:
 
     Directories contribute one body per file in lexicographic filename
     order; a file whose first line begins "From " is treated as mbox and
-    contributes one body per entry. Bytes are decoded as UTF-8 with
-    replacement characters for invalid sequences.
+    contributes one body per entry, read a chunk at a time (see
+    split_mbox). Bytes are decoded as UTF-8 with replacement characters
+    for invalid sequences.
 
-    Raises ConfigInvalid if the path does not exist or yields zero bodies.
+    Raises ConfigInvalid if the path does not exist, cannot be listed or
+    read, or yields zero bodies.
     """
     p = Path(path)
     if not p.exists():
         raise ConfigInvalid(f"{topic} corpus not found: {p}")
     bodies: list[str] = []
-    if p.is_dir():
-        for child in sorted(p.iterdir(), key=lambda c: c.name):
-            if child.is_file():
-                bodies.extend(_bodies_from_file(child))
-    else:
-        bodies.extend(_bodies_from_file(p))
+    try:
+        if p.is_dir():
+            for child in sorted(p.iterdir(), key=lambda c: c.name):
+                if child.is_file():
+                    bodies.extend(_bodies_from_file(child))
+        else:
+            bodies.extend(_bodies_from_file(p))
+    except OSError as exc:
+        where = exc.filename or p
+        raise ConfigInvalid(
+            f"{topic} corpus cannot be read: {where}: {exc.strerror or exc}"
+        ) from exc
     if not bodies:
         raise ConfigInvalid(f"{topic} corpus has no messages: {p}")
     return Corpus(topic=topic, bodies=tuple(bodies), source_path=str(p))
 
 
 def _bodies_from_file(path: Path) -> list[str]:
-    text = path.read_bytes().decode("utf-8", errors="replace")
-    if text.startswith("From "):
-        return [_entry_body(entry) for entry in split_mbox(text)]
-    return [text]
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        is_mbox = fh.read(5) == "From "
+        fh.seek(0)
+        if is_mbox:
+            return [_entry_body(entry) for entry in split_mbox(fh)]
+        return [fh.read()]
 
 
 def _entry_body(entry: str) -> str:

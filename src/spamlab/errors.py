@@ -8,10 +8,10 @@ class SpamlabError(Exception):
 
 class ConfigInvalid(SpamlabError, ValueError):
     """A config, a filter binding, or a corpus or training stream that a
-    config names, cannot make a run: a bad key or value, a missing or
-    empty corpus, an empty random-word dictionary, a training stream or
-    set with no ham or no spam, or a spam target calibration cannot
-    reach."""
+    config names, cannot make a run: a bad key or value, a missing,
+    unreadable or empty corpus, an empty random-word dictionary, a
+    training stream or set with no ham or no spam, or a spam target
+    calibration cannot reach."""
 
 
 class TrainerFailed(SpamlabError):

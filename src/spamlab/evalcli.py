@@ -219,9 +219,14 @@ def _load_ham_corpora(root: str):
     root_path = Path(root)
     if not root_path.is_dir():
         raise ConfigInvalid(f"no ham corpus directory at {root}")
-    topic_dirs = sorted(
-        (d for d in root_path.iterdir() if d.is_dir()), key=lambda d: d.name
-    )
+    try:
+        topic_dirs = sorted(
+            (d for d in root_path.iterdir() if d.is_dir()), key=lambda d: d.name
+        )
+    except OSError as exc:
+        raise ConfigInvalid(
+            f"ham corpus cannot be read: {root}: {exc.strerror or exc}"
+        ) from exc
     if topic_dirs:
         return [load_corpus(d, d.name) for d in topic_dirs]
     return [load_corpus(root_path, root_path.name or "general")]

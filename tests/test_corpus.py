@@ -1,16 +1,23 @@
+import io
 import re
 import tempfile
+import time
+import tracemalloc
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_message
+from spamlab import corpus
+from spamlab.bayes import train_bayes
 from spamlab.corpus import (
     MAX_TOKEN_LEN,
     MIN_TOKEN_LEN,
+    _entry_body,
     load_corpus,
     parse_message,
     render_message,
@@ -46,6 +53,47 @@ MBOX_TEXT = st.lists(
     ),
     max_size=16,
 ).map("".join)
+
+# mbox bytes whose UTF-8 sequences are often cut short or invalid
+MBOX_BYTES = st.lists(
+    st.one_of(
+        st.sampled_from([
+            b"From ", b">From ", b"From x\n", b"\n", b"\r\n", b"a",
+            b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80",
+            b"\xc3", b"\xe2\x82", b"\xa9", b"\xff",
+        ]),
+        st.binary(max_size=3),
+    ),
+    max_size=16,
+).map(b"".join)
+
+
+def with_split_examples(test):
+    """The texts that pin each rule of split_mbox, as hypothesis examples."""
+    for text in (
+        "no separator\nat all\n",
+        "before the first\nFrom x\nbody\n",
+        "From x\nbody\nFrom last",  # yields ""
+        "From a\nFrom b\n\nFrom c\nbody",
+        "From a\nbody\n\n\n",
+        "From a\r\n>From b\n>>From c\nFrom d\n",
+        "From a\nx\n\nFrom b\ny\n",  # -> ["x\n", "y"]
+    ):
+        test = example(text)(test)
+    return test
+
+
+def split_file(data: bytes, chunk: int) -> list[str]:
+    """split_mbox on a file holding data, read chunk characters at a time
+    and decoded chunk bytes at a time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.mbox"
+        path.write_bytes(data)
+        with mock.patch.object(corpus, "_CHUNK", chunk), open(
+            path, encoding="utf-8", errors="replace", newline=""
+        ) as fh:
+            fh._CHUNK_SIZE = chunk
+            return list(split_mbox(fh))
 
 
 class TestLoadCorpus:
@@ -137,15 +185,75 @@ class TestMbox:
         assert isinstance(split_mbox(TWO_MESSAGE_MBOX), types.GeneratorType)
 
     @given(MBOX_TEXT)
-    @example("no separator\nat all\n")
-    @example("before the first\nFrom x\nbody\n")
-    @example("From x\nbody\nFrom last")  # yields ""
-    @example("From a\nFrom b\n\nFrom c\nbody")
-    @example("From a\nbody\n\n\n")
-    @example("From a\r\n>From b\n>>From c\nFrom d\n")
-    @example("From a\nx\n\nFrom b\ny\n")  # -> ["x\n", "y"]
+    @with_split_examples
     def test_split_matches_the_line_loop(self, text):
         assert list(split_mbox(text)) == reference_split_mbox(text)
+
+    @given(MBOX_TEXT)
+    @with_split_examples
+    def test_file_split_matches_the_line_loop(self, text):
+        expected = reference_split_mbox(text)
+        for chunk in range(1, 8):
+            assert split_file(text.encode("utf-8"), chunk) == expected, chunk
+
+    @given(MBOX_BYTES, st.integers(1, 7))
+    @example(b"From a\n\xe2\x82\xac\xe2\x82\nFrom b\n\xf0\x9f\x98", 2)
+    def test_file_split_decodes_as_the_whole_bytes(self, data, chunk):
+        text = data.decode("utf-8", errors="replace")
+        assert split_file(data, chunk) == list(split_mbox(text))
+
+    @pytest.mark.parametrize("chunk", range(1, 8))
+    def test_file_split_finds_a_separator_across_reads(self, chunk):
+        # the first entry is cut as soon as the next separator has been
+        # read, even when no single read holds the whole separator
+        message = "From a 0\nbody\n"
+        source = io.StringIO(message * 100)
+        with mock.patch.object(corpus, "_CHUNK", chunk):
+            entries = split_mbox(source)
+            assert next(entries) == "body"
+            assert source.tell() < 2 * len(message)
+
+    @given(MBOX_BYTES, st.integers(1, 7))
+    def test_load_corpus_decodes_as_the_whole_bytes(self, data, chunk):
+        data = b"From " + data
+        text = data.decode("utf-8", errors="replace")
+        expected = tuple(_entry_body(entry) for entry in split_mbox(text))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.mbox"
+            path.write_bytes(data)
+            with mock.patch.object(corpus, "_CHUNK", chunk):
+                if expected:
+                    assert load_corpus(path, "t").bodies == expected
+                else:
+                    with pytest.raises(ConfigInvalid, match="has no messages"):
+                        load_corpus(path, "t")
+
+    def test_training_memory_is_bounded_by_a_chunk(self, tmp_path):
+        ham = tmp_path / "ham.mbox"
+        ham.write_text("From a 0\nSubject: lunch\n\nsee you at noon\n")
+        spam = tmp_path / "spam.mbox"
+        # few tokens per byte: the words' counters stay tiny
+        message = "From b 0\nSubject: offer\n\nbuy pills " + "." * 4000 + "\n"
+        spam.write_text(message * (8_000_000 // len(message) + 1))
+        assert spam.stat().st_size >= 8_000_000
+        tracemalloc.start()
+        try:
+            model = train_bayes(ham, spam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.spam_count["pills"] == model.n_spam_msgs > 1900
+        assert peak < 2_000_000, peak
+
+    def test_one_long_message_takes_linear_time(self):
+        body = "a body line without a separator\n" * 625_000  # 20 MB
+        data = ("From a 0\n" + body).encode()
+        start = time.perf_counter()
+        # about 5000 reads: a rescan of the pending text at each would not
+        # finish in time
+        entries = split_file(data, 4096)
+        assert time.perf_counter() - start < 2
+        assert entries == [body[:-1]]
 
     @given(st.lists(MBOX_TEXT, max_size=4))
     @example(["From the start\n>From quoted\n>>From twice\nFrom x\n", ""])

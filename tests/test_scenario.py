@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import os
 import shlex
+import socket
 import subprocess
 import sys
 import threading
@@ -738,6 +739,44 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", str(path), "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {expect.format(root=tmp_path)}\n"
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="no AF_UNIX")
+    def test_run_verb_reports_an_unreadable_corpus(
+        self, tmp_path, scenario_builder, capsys, monkeypatch
+    ):
+        path = scenario_builder(
+            tmp_path, scenario_overrides={"spam_corpus": "spam.sock"}
+        )
+        # a socket exists but cannot be opened; bound by a relative name, as
+        # a socket path must be short
+        monkeypatch.chdir(tmp_path)
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind("spam.sock")
+            out = tmp_path / "out"
+            assert main(["run", str(path), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        expect = f"error: spam corpus cannot be read: {tmp_path / 'spam.sock'}: "
+        assert err.startswith(expect) and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_run_verb_reports_an_unlistable_ham_corpus(
+        self, tmp_path, scenario_builder, capsys, monkeypatch
+    ):
+        # what a user without read permission on the directory sees; root
+        # may list any directory, so the refusal is patched in
+        path = scenario_builder(tmp_path)
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "iterdir", denied)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "-o", str(out)]) == 1
+        root = tmp_path / "corpora" / "ham"
+        assert capsys.readouterr().err == (
+            f"error: ham corpus cannot be read: {root}: Permission denied\n"
+        )
         assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
