@@ -40,7 +40,8 @@ class TokenMemo(Memo):
     Call it like tokenize; it returns a tuple of tokens. It is a Memo: a
     text is tokenized at its first and second lookup, stored from the
     second, and later lookups return the stored tuple, so a text seen
-    once, like most personalized spam, is never held. Give each filter
+    once, like most personalized spam, is never held: the memo keeps only
+    its hash, in 16-32 bytes of the memo's table. Give each filter
     its own memo and let it go with the filter. Only the tokens it keeps
     are interned, so the texts held share one copy of each word.
     """

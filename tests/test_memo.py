@@ -1,8 +1,11 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spamlab import bayes, bulk, filters
 from spamlab.bayes import Text
@@ -74,6 +77,103 @@ class TestMemo:
         assert memo(a) == "ALPHA" and len(memo) == 0
         assert memo(b) == "BETA" and list(memo) == [b]
         assert memo(a) == "ALPHA" and memo(b) == "BETA"
+
+
+HALF = 2**63
+
+# hashes that land on one slot of many table sizes, that equal each other,
+# the extremes of a 64-bit hash, and any other
+HASHES = st.one_of(
+    st.sampled_from([0, -2, 1, 8, 2**62, HALF - 1, -HALF]),
+    st.integers(0, 2**16).map(lambda n: n << 14),
+    st.integers(-HALF, HALF - 1),
+)
+
+
+class Hashed(str):
+    """A key whose hash is chosen; equal texts must get equal hashes."""
+
+    def __new__(cls, text, h):
+        key = super().__new__(cls, text)
+        key.h = h
+        return key
+
+    def __hash__(self):
+        return self.h
+
+
+class SetMemo(dict):
+    """The second-lookup rule over a set of the hashes seen, as the
+    reference for Memo's table."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+        self.seen = set()
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        h = hash(key)
+        if h in self.seen:
+            self[key] = value
+        else:
+            self.seen.add(h)
+        return value
+
+    __call__ = dict.__getitem__
+
+
+def numbered_calls():
+    """A compute function whose value names the key and the call."""
+    calls = Counter()
+
+    def compute(key):
+        calls[key] += 1
+        return str(key), calls[key]
+
+    return compute, calls
+
+
+class TestSeenTable:
+    @settings(deadline=None, max_examples=50)
+    @given(
+        hashes=st.lists(HASHES, min_size=1, max_size=40),
+        picks=st.lists(st.integers(0, 39), max_size=120),
+        base=st.integers(-HALF, HALF - 1),
+        stride=st.tuples(st.integers(0, 3), st.integers(0, HALF - 1)).map(
+            lambda t: (2 * t[1] + 1) << t[0]
+        ),
+    )
+    def test_stores_what_a_set_of_hashes_stores(self, hashes, picks, base, stride):
+        drawn = [Hashed(f"k{i}", h) for i, h in enumerate(hashes)]
+        picked = [drawn[p % len(drawn)] for p in picks]
+        # more than 2048 distinct hashes: the 8-slot table doubles 10 times
+        filler = [
+            Hashed(f"f{i}", (base + i * stride + HALF) % (2 * HALF) - HALF)
+            for i in range(2100)
+        ]
+        keys = picked + filler + picked + filler[::7] + picked
+        compute, calls = numbered_calls()
+        ref_compute, ref_calls = numbered_calls()
+        memo, ref = Memo(compute), SetMemo(ref_compute)
+        assert [memo(k) for k in keys] == [ref(k) for k in keys]
+        assert list(memo.items()) == list(ref.items())
+        assert calls == ref_calls
+        assert len(memo.seen) >= 8 << 10
+
+    def test_a_key_seen_once_costs_at_most_32_bytes(self):
+        keys = [f"personalized body {i}" for i in range(100_000)]
+        memo = Memo(len)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for key in keys:
+                memo(key)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(memo) == 0
+        assert grown <= 32 * len(keys), grown / len(keys)
 
 
 class TestMemosInARun:
