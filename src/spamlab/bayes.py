@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,6 +67,10 @@ class Text(NamedTuple):
 class BayesModel:
     """Word occurrence counts and classification parameters.
 
+    The counts are a word -> count mapping per class: a Counter from
+    train_messages, or for a per-mailbox model from train_mailboxes a
+    UserCounts, which reads the texts that several mailboxes got from one
+    shared index and compares equal to the Counter of the same mail.
     The counts must not change after training: word_spaminess fills the
     spaminess table (word -> p) as classification asks for words, with
     the words this model counted only (any other word is neutral), so a
@@ -84,15 +90,99 @@ class BayesModel:
     )
 
 
+class SharedTexts:
+    """Word counts of the training texts that several mailboxes got, each
+    made once: counts[i] is the Counter of text i's subject+body tokens,
+    and holders maps each word to a bitmask of the texts that hold it
+    (bit i for text i)."""
+
+    def __init__(self, texts, tokens):
+        self.counts: list[Counter] = []
+        self.holders: dict[str, int] = {}
+        holders = self.holders
+        for i, text in enumerate(texts):
+            counts, _ = _count_tokens((text,), tokens)
+            self.counts.append(counts)
+            bit = 1 << i
+            for word in counts:
+                holders[word] = holders.get(word, 0) | bit
+
+
+class UserCounts(Mapping):
+    """One mailbox's word counts for one class, read-only: own counts the
+    texts that only this mailbox got, and times maps the index of each
+    shared text it got to how often it got it. A word it did not count
+    reads 0, as in a Counter, and it compares equal to the Counter that
+    train_messages makes from the same mail."""
+
+    __slots__ = ("own", "shared", "times", "mask")
+
+    def __init__(self, own: Counter, shared: SharedTexts, times: dict[int, int]):
+        self.own = own
+        self.shared = shared
+        self.times = times
+        self.mask = sum(1 << i for i in times)  # bit i for each text in times
+
+    def counts_of(self, words) -> list[int]:
+        """The count of each of words, in order."""
+        own = self.own.get
+        held = self.shared.holders.get
+        texts = self.shared.counts
+        mask, times = self.mask, self.times
+        counts = []
+        for word in words:
+            n = own(word, 0)
+            bits = held(word, 0) & mask  # the shared texts it got with word
+            while bits:
+                i = bits.bit_length() - 1
+                n += times[i] * texts[i][word]
+                bits ^= 1 << i
+            counts.append(n)
+        return counts
+
+    def __getitem__(self, word) -> int:
+        return self.counts_of((word,))[0]
+
+    def __contains__(self, word) -> bool:
+        return self[word] > 0
+
+    def get(self, word, default=None):
+        return self[word] or default
+
+    def __iter__(self):
+        texts = self.shared.counts
+        return iter(dict.fromkeys(
+            chain(self.own, *(texts[i] for i in self.times))
+        ))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return f"UserCounts({dict(self)!r})"
+
+
+def _counts_of(counts, words):
+    """counts' count of each of words, in order, with no Python call per
+    word."""
+    if isinstance(counts, UserCounts):
+        return counts.counts_of(words)
+    return map(counts.get, words, repeat(0))
+
+
 def _add_spaminess(model: BayesModel, words) -> None:
     """Enter the spaminess of each of words that the model counted, none
     of them in the table yet, into model.spaminess (see word_spaminess)."""
     table = model.spaminess
-    spam_count, ham_count = model.spam_count, model.ham_count
     n_spam, n_ham = model.n_spam_msgs, model.n_ham_msgs
-    for word in words:
-        s = spam_count.get(word, 0) / n_spam
-        h = ham_count.get(word, 0) / n_ham
+    words = tuple(words)
+    for word, s, h in zip(
+        words,
+        _counts_of(model.spam_count, words),
+        _counts_of(model.ham_count, words),
+    ):
+        s /= n_spam
+        h /= n_ham
         # a Counter may hold a word at count 0: test the rates, not the keys
         if s or h:
             table[word] = min(P_MAX, max(P_MIN, s / (s + h)))
@@ -165,7 +255,11 @@ def bayes_classify(model: BayesModel, m, tokens=None) -> Verdict:
     words = interesting_words(model, m, tokens)
     if not words:
         return Verdict(Label.HAM, model.prior_spam)
-    p = posterior_spam(model, words)
+    # interesting_words has scored every word: read them from the table
+    table = model.spaminess
+    p = combine_spam_probability(
+        [table.get(w, P_NEUTRAL) for w in words], model.prior_spam
+    )
     label = Label.SPAM if p > model.threshold else Label.HAM
     return Verdict(label, p)
 
@@ -216,6 +310,64 @@ def train_messages(
         tokens = tokenize
     ham_count, n_ham = _count_tokens(ham, tokens)
     spam_count, n_spam = _count_tokens(spam, tokens)
+    return _model(spam_count, ham_count, n_spam, n_ham, n, threshold)
+
+
+def train_mailboxes(
+    mail: dict,
+    n: int = DEFAULT_N_INTERESTING,
+    threshold: float = DEFAULT_THRESHOLD,
+    tokens=None,
+) -> dict[str, BayesModel]:
+    """Train one model per mailbox from mail, mailbox -> (ham, spam)
+    lists of messages delivered to it (anything with a subject and a
+    body).
+
+    Each model equals train_messages(ham, spam, n, threshold) count for
+    count, but a text (subject and body) that two or more of the
+    mailboxes got is counted once, in one SharedTexts index, and each of
+    its mailboxes keeps only how often it got it per class (UserCounts);
+    a text that one mailbox got, once or more, is counted into that
+    mailbox's own Counter. Raises ConfigInvalid when a mailbox has no
+    messages of a class.
+    """
+    if tokens is None:
+        tokens = tokenize
+    # the one mailbox that got each text, or None for a shared text
+    getter: dict[Text, str | None] = {}
+    for addr, (ham, spam) in mail.items():
+        for m in chain(ham, spam):
+            text = Text(m.subject, m.body)
+            if getter.setdefault(text, addr) != addr:
+                getter[text] = None
+    index = {text: i for i, text in enumerate(
+        text for text, addr in getter.items() if addr is None
+    )}
+    del getter
+    shared = SharedTexts(index, tokens)
+
+    def counts(messages) -> UserCounts:
+        unshared = []
+        times: dict[int, int] = {}
+        for m in messages:
+            i = index.get(Text(m.subject, m.body))
+            if i is None:
+                unshared.append(m)
+            else:
+                times[i] = times.get(i, 0) + 1
+        own, _ = _count_tokens(unshared, tokens)
+        return UserCounts(own, shared, times)
+
+    models = {}
+    for addr, (ham, spam) in mail.items():
+        ham_count = counts(ham)
+        models[addr] = _model(
+            counts(spam), ham_count, len(spam), len(ham), n, threshold
+        )
+    return models
+
+
+def _model(spam_count, ham_count, n_spam, n_ham, n, threshold) -> BayesModel:
     if n_ham == 0 or n_spam == 0:
         raise ConfigInvalid(f"ham={n_ham} spam={n_spam}")
     return BayesModel(

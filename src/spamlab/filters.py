@@ -120,13 +120,16 @@ class BayesFilterState:
 
     A mailbox gets its own model only once it has seen at least
     min_user_messages of each class in training; thinner mailboxes stay on
-    the general model, whose vocabulary coverage is far better. All models
-    and classification share one TokenMemo, so the filter tokenizes a text
-    at most twice in its run, however many models read it. The filter keeps
-    the verdicts that recur in one Memo, keyed by the deciding mailbox
-    (None for the general model) and the text, so it classifies a text at
-    most twice per model. A filter is trained once: its memo is never
-    cleared.
+    the general model, whose vocabulary coverage is far better. The
+    per-user models count a text that two or more of their mailboxes got
+    once, in one index they share, and each keeps how often its mailbox
+    got such a text per class; a text that one mailbox got is counted into
+    that mailbox's own counts. All models and classification share one
+    TokenMemo, so the filter tokenizes a text at most twice in its run,
+    however many models read it. The filter keeps the verdicts that recur
+    in one Memo, keyed by the deciding mailbox (None for the general
+    model) and the text, so it classifies a text at most twice per model.
+    A filter is trained once: its memo is never cleared.
     """
 
     OPTIONS = {"n": (int, 1, None), "threshold": (float, 0, 1),
@@ -163,17 +166,25 @@ class BayesFilterState:
 
     def train_user_models(self, stream) -> None:
         """Give each mailbox with min_user_messages of each class in the
-        training stream a model trained on the mail delivered to it."""
+        training stream a model trained on the mail delivered to it.
+
+        The models count each text (subject and body) that two or more of
+        them got once, in one index shared by this filter's models, and
+        each mailbox keeps how often it got such a text per class; a text
+        that one mailbox got is counted into that mailbox's own counts
+        (see bayes.train_mailboxes). Every count equals the one
+        bayes.train_messages gives on the mailbox's mail."""
         delivered: dict[str, tuple[list, list]] = {}
         for m in stream:
             for addr in m.recipients:
                 ham, spam = delivered.setdefault(addr, ([], []))
                 (spam if m.truth is Label.SPAM else ham).append(m)
-        for addr, (ham, spam) in delivered.items():
-            if min(len(ham), len(spam)) >= max(self.min_user_messages, 1):
-                self.user_models[addr] = bayes.train_messages(
-                    ham, spam, self.n, self.threshold, self.tokens
-                )
+        floor = max(self.min_user_messages, 1)
+        self.user_models.update(bayes.train_mailboxes(
+            {addr: sides for addr, sides in delivered.items()
+             if min(map(len, sides)) >= floor},
+            self.n, self.threshold, self.tokens,
+        ))
 
     def classify(self, m: Message) -> Verdict:
         if self.model is None:

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ from conftest import make_message, synth_bodies
 from spamlab import bayes
 from spamlab.bayes import (
     BayesModel,
+    Text,
     TokenMemo,
+    UserCounts,
     bayes_classify,
     combine_spam_probability,
     interesting_words,
@@ -31,6 +34,7 @@ from spamlab.filters import (
     emit_training_sets,
     train,
 )
+from spamlab.trafficgen import Corpus, SimConfig, World, step
 
 
 def model_from_counts(spam, ham, n_spam, n_ham, **kw):
@@ -449,3 +453,158 @@ class TestTokenizeOncePerRun:
         a.tokens("some words")
         a.tokens("some words")
         assert len(a.tokens) == 1 and len(b.tokens) == 0
+
+
+def user_filter(min_user_messages=0):
+    return build_filter(FilterBinding(
+        name="bayes", level=Level.USER, builtin="bayes",
+        options={"min_user_messages": str(min_user_messages)},
+    ))
+
+
+class TestUserCounts:
+    """Per-user models count a text that several mailboxes got once, and
+    read every count exactly as train_messages counts that mailbox's
+    mail."""
+
+    def check(self, stream, min_user_messages=0):
+        """Every per-user model of stream equals train_messages on the mail
+        delivered to its mailbox, once per delivery, and classifies as it."""
+        f = user_filter(min_user_messages)
+        f.train_user_models(stream)
+        assert f.user_models
+        for addr, model in f.user_models.items():
+            mine = [m for m in stream for a in m.recipients if a == addr]
+            expected = train_messages(
+                [m for m in mine if m.truth is Label.HAM],
+                [m for m in mine if m.truth is Label.SPAM],
+                f.n, f.threshold,
+            )
+            for side in ("spam_count", "ham_count"):
+                counts, plain = getattr(model, side), getattr(expected, side)
+                assert isinstance(counts, UserCounts)
+                assert counts == plain and plain == counts
+                assert len(counts) == len(plain) and set(counts) == set(plain)
+                words = set(expected.spam_count) | set(expected.ham_count)
+                for word in sorted(words) + ["uncounted"]:
+                    assert counts[word] == plain[word]
+                    assert (word in counts) == (word in plain)
+                    assert counts.get(word) == plain.get(word)
+            for attr in ("n_spam_msgs", "n_ham_msgs", "prior_spam"):
+                assert getattr(model, attr) == getattr(expected, attr)
+            for m in stream:
+                assert bayes_classify(model, m) == bayes_classify(replace(expected), m)
+        return f
+
+    def test_bcc_batches_to_many_mailboxes(self):
+        rng = random.Random(7)
+        addrs = [f"u{i}@example.org" for i in range(15)]
+        stream = []
+        for i in range(120):
+            truth = Label.SPAM if i % 3 == 0 else Label.HAM
+            body = " ".join(rng.choice(["offer", "pills", "notes", "lunch",
+                                        f"w{i % 17}", f"v{i % 5}"])
+                            for _ in range(8))
+            if truth is Label.SPAM:
+                stream.append(make_message(
+                    body=body, subject=f"deal {i % 4}", truth=truth, to=(),
+                    bcc=rng.sample(addrs, 12),
+                ))
+            else:
+                stream.append(make_message(
+                    body=body, truth=truth, to=rng.sample(addrs, 2),
+                    cc=rng.sample(addrs, rng.randint(0, 3)),
+                ))
+        f = self.check(stream)
+        assert len(f.user_models) == 15
+
+    def test_personalized_random_word_spam_is_counted_per_mailbox(self):
+        ham = [Corpus(topic, tuple(
+            f"{topic} notes {i} agenda item{i % 7}" for i in range(12)
+        ), "<memory>") for topic in ("cooking", "sailing")]
+        spam = Corpus("spam", tuple(
+            f"offer{i} click here\n\nclaim prize{i % 5}" for i in range(9)
+        ), "<memory>")
+        config = SimConfig(n_users=30, n_mailing_lists=2, n_spammers=3,
+                           burst_rate=7, spammer_db_size=15, sigma=4.0,
+                           seed=11, send_prob=0.2, activation_prob=0.2)
+        rng = random.Random(config.seed)
+        world = World(config, ham, spam, rng, personalize_spam=True,
+                      random_words=True)
+        stream = [m for _ in range(40) for m, _ in step(world, rng)]
+        spam_texts = Counter(Text(m.subject, m.body) for m in stream
+                             if m.truth is Label.SPAM for _ in m.recipients)
+        assert len(spam_texts) > 50 and max(spam_texts.values()) == 1
+        f = self.check(stream, min_user_messages=2)
+        for model in f.user_models.values():
+            assert model.spam_count.own and not model.spam_count.times
+
+    def test_a_text_as_ham_to_one_mailbox_and_spam_to_another(self):
+        a, b, c = "a@example.org", "b@example.org", "c@example.org"
+        stream = [
+            make_message(body="quarterly report draft", to=(a, c)),
+            make_message(body="quarterly report draft", truth=Label.SPAM,
+                         to=(b,), bcc=(c,)),
+            make_message(body="cheap pills", truth=Label.SPAM, to=(a,)),
+            make_message(body="see you at noon", to=(b,)),
+        ]
+        f = self.check(stream)
+        assert sorted(f.user_models) == [a, b, c]
+        assert f.user_models[c].spam_count["quarterly"] == 1
+        assert f.user_models[c].ham_count["quarterly"] == 1
+
+    def test_a_mailbox_that_gets_a_text_several_times(self):
+        a, b = "a@example.org", "b@example.org"
+        stream = [
+            make_message(body="weekly digest news news", to=(a, b)),
+            make_message(body="weekly digest news news", to=(a,)),
+            make_message(body="weekly digest news news", to=(a,)),
+            make_message(body="only mine twice", to=(b,)),
+            make_message(body="only mine twice", to=(b,)),
+            make_message(body="cheap pills", truth=Label.SPAM, to=(a, b)),
+        ]
+        f = self.check(stream)
+        assert f.user_models[a].ham_count["news"] == 6
+        assert f.user_models[b].ham_count.own["twice"] == 2
+
+    def test_a_repeated_recipient_gets_every_copy(self):
+        a, b = "a@example.org", "b@example.org"
+        stream = [
+            make_message(body="minutes attached", to=(a, b), cc=(a,)),
+            make_message(body="cheap pills", truth=Label.SPAM, to=(a,),
+                         bcc=(a, b)),
+            make_message(body="lunch plans", to=(b,), bcc=(b,)),
+        ]
+        f = self.check(stream)
+        assert f.user_models[a].n_ham_msgs == 2
+        assert f.user_models[a].n_spam_msgs == 2
+        assert f.user_models[b].ham_count["lunch"] == 2
+
+    def test_seeded_streams(self):
+        for seed in (1, 2, 3):
+            self.check(seeded_stream(seed, 200), min_user_messages=5)
+
+    def test_memory_follows_the_texts_not_the_mailboxes(self):
+        """400 mailboxes that each get the same 20 texts hold under 4 kB
+        each (about 1.6 kB on CPython 3.11). A Counter of every word per
+        mailbox and class, as train_messages makes, takes about 27 kB."""
+        rng = random.Random(3)
+        vocab = [f"word{i:04d}" for i in range(2000)]
+        addrs = tuple(f"u{i}@example.org" for i in range(400))
+        stream = [
+            make_message(
+                body=" ".join(rng.sample(vocab, 40)), to=addrs[:1],
+                bcc=addrs[1:], truth=Label.SPAM if i % 2 else Label.HAM,
+            )
+            for i in range(20)
+        ]
+        f = user_filter(5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f.train_user_models(stream)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(f.user_models) == 400
+        assert held / 400 < 4_000, held

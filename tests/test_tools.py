@@ -41,3 +41,26 @@ class TestSameOutputs:
         result = same_outputs.compare(tmp_path / "parent", tmp_path / "change")
         assert [name for name, same in result if not same] == ["connections.log"]
         assert len(result) == 5
+
+    def test_set_overrides_the_generated_scenario(self, tmp_path):
+        same_outputs = load_same_outputs()
+        inputs = same_outputs._inputs_module()
+        made = inputs.generate(inputs.WORKLOADS["server-bulk"], 1, tmp_path)
+        same_outputs.override(inputs, made.scenario_path, [
+            same_outputs._setting("level=U"),
+            same_outputs._setting("filters = bayes U; volume S"),
+            same_outputs._setting("note=a=b"),
+        ])
+        lines = made.scenario_path.read_text().splitlines()
+        assert "level = U" in lines and "level = S" not in lines
+        assert "filters = bayes U; volume S" in lines
+        assert lines[-1] == "note = a=b"
+
+    def test_set_needs_key_and_value(self):
+        proc = subprocess.run(
+            [sys.executable, str(SAME_OUTPUTS), "--parent", str(ROOT),
+             "--change", str(ROOT), "--seeds", "1", "--set", "level"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "'level' is not KEY=VALUE" in proc.stderr

@@ -1,11 +1,14 @@
 """Check that two spamlab checkouts give byte-identical outputs.
 
     python3 tools/same_outputs.py --parent OLD --change NEW --seeds 1 2 3
+    python3 tools/same_outputs.py --parent OLD --change NEW --seeds 1 2 3 \
+        --workloads server-bulk --set level=U --set "filters=bayes U; volume S"
 
 OLD and NEW are checkout roots, each with src/spamlab. For every workload
 of this checkout's perfbench/inputs.py (all three by default, or those
 named with --workloads) and every seed, the inputs are generated with
-inputs.generate. Each tree then runs in a process of its own: it
+inputs.generate, and each --set KEY=VALUE then sets or adds that key of
+the generated scenario.cfg. Each tree then runs in a process of its own: it
 calibrates the workload's sim config once with calibrate_spam_fraction,
 writes the result as each seed's sim.cfg with write_sim_config, and runs
 run_scenario on every seed. The two trees' results.csv, results.txt,
@@ -39,6 +42,24 @@ def _src(tree: str) -> Path:
     if not (src / "spamlab" / "__init__.py").is_file():
         raise SystemExit(f"error: no spamlab source under {src}")
     return src
+
+
+def _setting(text: str) -> tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not sep or not key.strip():
+        raise argparse.ArgumentTypeError(f"{text!r} is not KEY=VALUE")
+    return key.strip(), value.strip()
+
+
+def override(inputs, scenario_path: Path, settings: list[tuple[str, str]]) -> None:
+    """Set each (key, value) of settings in a scenario.cfg written by
+    inputs.generate, in place of the key's line or after the last line."""
+    values = dict(
+        line.split(" = ", 1)
+        for line in scenario_path.read_text(encoding="utf-8").splitlines()
+    )
+    values.update(settings)
+    inputs.write_kv(scenario_path, values)
 
 
 def run_tree(workload_dir: Path) -> None:
@@ -80,6 +101,10 @@ def main(argv=None) -> int:
         "--workloads", nargs="+", choices=sorted(inputs.WORKLOADS),
         default=list(inputs.WORKLOADS),
     )
+    parser.add_argument(
+        "--set", type=_setting, action="append", default=[], metavar="KEY=VALUE",
+        help="a scenario.cfg setting for every run (repeatable)",
+    )
     args = parser.parse_args(argv)
     trees = {"parent": _src(args.parent), "change": _src(args.change)}
 
@@ -89,9 +114,11 @@ def main(argv=None) -> int:
             dirs = {side: Path(tmp, side, name) for side in trees}
             for side, workload_dir in dirs.items():
                 for seed in args.seeds:
-                    inputs.generate(
+                    made = inputs.generate(
                         inputs.WORKLOADS[name], seed, workload_dir / f"s{seed}" / "inputs"
                     )
+                    if args.set:
+                        override(inputs, made.scenario_path, args.set)
             procs = {
                 side: subprocess.Popen(
                     [sys.executable, __file__, "--run-tree", str(dirs[side])],
